@@ -5,16 +5,10 @@
 // Machine-readable timings land in BENCH_e2e.json (override the path
 // with ACCORDION_BENCH_JSON).
 //
-// The cost-based optimizer is measured against the legacy textual-order
-// planner: `--optimizer=both` (the default) runs every query in both
-// modes and reports the speedup; `--optimizer=on` / `--optimizer=off`
-// run one mode.
-//
-//   $ ./bench_e2e_tpch [--optimizer=both|on|off]
+//   $ ./bench_e2e_tpch
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -23,104 +17,65 @@
 #include "common/clock.h"
 #include "tpch/queries.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace accordion;
 
-  std::string mode = "both";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--optimizer=", 12) == 0) {
-      mode = argv[i] + 12;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--optimizer=both|on|off]\n", argv[0]);
-      return 1;
-    }
-  }
-  if (mode != "both" && mode != "on" && mode != "off") {
-    std::fprintf(stderr, "invalid --optimizer mode '%s'\n", mode.c_str());
-    return 1;
-  }
-  std::vector<const char*> runs;
-  if (mode != "on") runs.push_back("off");
-  if (mode != "off") runs.push_back("on");
-
-  std::string ref =
-      "Session API acceptance run (SF0.01 + cost model), optimizer " + mode;
   bench::PrintHeader(
       "End-to-end TPC-H, 12 queries through Session::Execute "
       "(SQL text where expressible) with cursor-streamed results",
-      ref.c_str());
+      "Session API acceptance run (SF0.01 + cost model)");
 
   struct Row {
     int q;
     const char* frontend;
-    const char* optimizer;
     double seconds;
     int64_t rows;
     int64_t pages;
   };
   std::vector<Row> rows;
 
-  std::printf("%-6s  %-8s  %-9s  %10s  %8s  %7s\n", "Query", "Frontend",
-              "Optimizer", "Time (s)", "Rows", "Pages");
+  std::printf("%-6s  %-8s  %10s  %8s  %7s\n", "Query", "Frontend",
+              "Time (s)", "Rows", "Pages");
+  double total = 0;
   for (int q = 1; q <= 12; ++q) {
-    for (const char* run : runs) {
-      auto options = bench::ExperimentOptions(/*cost_scale=*/0.8);
-      options.num_workers = 2;
-      AccordionCluster cluster(options);
-      SessionOptions session_options;
-      session_options.query_defaults.stage_dop = 2;
-      session_options.query_defaults.task_dop = 2;
-      if (std::strcmp(run, "off") == 0) {
-        session_options.query_defaults.optimizer = OptimizerOptions::Off();
-      }
-      Session session(cluster.coordinator(), session_options);
+    auto options = bench::ExperimentOptions(/*cost_scale=*/0.8);
+    options.num_workers = 2;
+    AccordionCluster cluster(options);
+    SessionOptions session_options;
+    session_options.query_defaults.stage_dop = 2;
+    session_options.query_defaults.task_dop = 2;
+    Session session(cluster.coordinator(), session_options);
 
-      std::string sql = TpchQuerySql(q);
-      Stopwatch sw;
-      auto query = sql.empty()
-                       ? session.Execute(TpchQueryPlan(q, session.catalog()))
-                       : session.Execute(sql);
-      if (!query.ok()) {
-        std::fprintf(stderr, "Q%d submit failed: %s\n", q,
-                     query.status().ToString().c_str());
-        return 1;
-      }
-      ResultCursor cursor = (*query)->Cursor();
-      auto pages = cursor.Drain(900000);
-      if (!pages.ok()) {
-        std::fprintf(stderr, "Q%d failed: %s\n", q,
-                     pages.status().ToString().c_str());
-        return 1;
-      }
-      Row row;
-      row.q = q;
-      row.frontend = sql.empty() ? "plan" : "sql";
-      row.optimizer = run;
-      row.seconds = sw.ElapsedSeconds();
-      row.rows = cursor.rows_seen();
-      row.pages = cursor.pages_seen();
-      rows.push_back(row);
-      std::printf("Q%-5d  %-8s  %-9s  %10.3f  %8lld  %7lld\n", q,
-                  row.frontend, row.optimizer, row.seconds,
-                  static_cast<long long>(row.rows),
-                  static_cast<long long>(row.pages));
+    std::string sql = TpchQuerySql(q);
+    Stopwatch sw;
+    auto query = sql.empty()
+                     ? session.Execute(TpchQueryPlan(q, session.catalog()))
+                     : session.Execute(sql);
+    if (!query.ok()) {
+      std::fprintf(stderr, "Q%d submit failed: %s\n", q,
+                   query.status().ToString().c_str());
+      return 1;
     }
+    ResultCursor cursor = (*query)->Cursor();
+    auto pages = cursor.Drain(900000);
+    if (!pages.ok()) {
+      std::fprintf(stderr, "Q%d failed: %s\n", q,
+                   pages.status().ToString().c_str());
+      return 1;
+    }
+    Row row;
+    row.q = q;
+    row.frontend = sql.empty() ? "plan" : "sql";
+    row.seconds = sw.ElapsedSeconds();
+    row.rows = cursor.rows_seen();
+    row.pages = cursor.pages_seen();
+    rows.push_back(row);
+    total += row.seconds;
+    std::printf("Q%-5d  %-8s  %10.3f  %8lld  %7lld\n", q, row.frontend,
+                row.seconds, static_cast<long long>(row.rows),
+                static_cast<long long>(row.pages));
   }
-
-  double total_on = 0;
-  double total_off = 0;
-  for (const Row& row : rows) {
-    (std::strcmp(row.optimizer, "on") == 0 ? total_on : total_off) +=
-        row.seconds;
-  }
-  if (total_on > 0) std::printf("%-6s  %-8s  %-9s  %10.3f\n", "TOTAL", "",
-                                "on", total_on);
-  if (total_off > 0) std::printf("%-6s  %-8s  %-9s  %10.3f\n", "TOTAL", "",
-                                 "off", total_off);
-  if (total_on > 0 && total_off > 0) {
-    std::printf("optimizer speedup: %.2fx\n", total_off / total_on);
-  }
+  std::printf("%-6s  %-8s  %10.3f\n", "TOTAL", "", total);
 
   const char* json_path = std::getenv("ACCORDION_BENCH_JSON");
   std::string out_path = json_path != nullptr ? json_path : "BENCH_e2e.json";
@@ -135,23 +90,13 @@ int main(int argc, char** argv) {
     const Row& row = rows[i];
     std::fprintf(out,
                  "    {\"query\": %d, \"frontend\": \"%s\", "
-                 "\"optimizer\": \"%s\", \"seconds\": %.6f, "
-                 "\"rows\": %lld, \"pages\": %lld}%s\n",
-                 row.q, row.frontend, row.optimizer, row.seconds,
+                 "\"seconds\": %.6f, \"rows\": %lld, \"pages\": %lld}%s\n",
+                 row.q, row.frontend, row.seconds,
                  static_cast<long long>(row.rows),
                  static_cast<long long>(row.pages),
                  i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(out, "  ]");
-  if (total_on > 0) std::fprintf(out, ",\n  \"total_seconds_on\": %.6f",
-                                 total_on);
-  if (total_off > 0) std::fprintf(out, ",\n  \"total_seconds_off\": %.6f",
-                                  total_off);
-  if (total_on > 0 && total_off > 0) {
-    std::fprintf(out, ",\n  \"optimizer_speedup\": %.4f",
-                 total_off / total_on);
-  }
-  std::fprintf(out, "\n}\n");
+  std::fprintf(out, "  ],\n  \"total_seconds\": %.6f\n}\n", total);
   std::fclose(out);
   std::printf("\nWrote %s\n", out_path.c_str());
   return 0;

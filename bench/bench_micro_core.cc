@@ -107,10 +107,8 @@ BENCHMARK(BM_JoinBridgeBuildProbe)->Arg(1024)->Arg(16384);
 // open-addressing tables for aggregation + join). Every run also writes
 // machine-readable results to BENCH_micro.json (see main below); override
 // the path with ACCORDION_BENCH_JSON. The aggregation sweep covers
-// 1K/64K/1M groups — the 1M case exercises the radix-partitioned path
-// (adaptive partition split at radix_agg_min_groups distinct keys); the
-// RADIX_MIN/RADIX_TARGET/RADIX_DRAIN env knobs override the radix config
-// for tuning runs.
+// 1K/64K/1M groups, from a cache-resident group table to one well past
+// L2.
 
 constexpr int64_t kMicroRows = 1 << 20;  // 1M rows
 constexpr int64_t kMicroPageRows = 8192;
@@ -139,9 +137,6 @@ void BM_HashAggGroupBy1M(benchmark::State& state) {
   std::vector<PagePtr> pages = MakeKeyedPages(kMicroRows, key_space, 42);
   EngineConfig config;
   config.partial_agg_flush_groups = 1LL << 40;  // keep all groups resident
-  if (const char* e = std::getenv("RADIX_MIN")) config.radix_agg_min_groups = atoll(e);
-  if (const char* e = std::getenv("RADIX_TARGET")) config.radix_agg_partition_groups = atoll(e);
-  if (const char* e = std::getenv("RADIX_DRAIN")) config.radix_agg_drain_rows = atoll(e);
   ResourceGovernor cpu("bench.cpu", 1e12, 1e12);
   ResourceGovernor nic("bench.nic", 1e12, 1e12);
   TaskContext ctx("bench", &cpu, &nic, &config);
@@ -209,7 +204,8 @@ void BM_JoinBuildSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_JoinBuildSweep)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 24);
 
-// Probe-only sweep, scalar vs SIMD kernel (arg 1). The table is built
+// Probe-only sweep, scalar vs SIMD kernel (arg 1), straight through
+// HashTable::FindJoinBatch. The table and its CSR match spans are built
 // once OUTSIDE the timed loop; each iteration probes 1M rows against it,
 // so ns/row here is pure probe cost.
 void BM_JoinProbeSweep(benchmark::State& state) {
@@ -225,32 +221,33 @@ void BM_JoinProbeSweep(benchmark::State& state) {
     state.SkipWithError("build size over ACCORDION_BENCH_MAX_BUILD_KEYS");
     return;
   }
-  EngineConfig config;
-  config.join.probe = simd ? ProbePathMode::kAuto : ProbePathMode::kScalar;
-  config.join.radix_min_build_rows = 0;  // flat table: isolate the kernel
-  ResourceGovernor cpu("bench.cpu", 1e12, 1e12);
-  ResourceGovernor nic("bench.nic", 1e12, 1e12);
-  TaskContext ctx("bench", &cpu, &nic, &config);
-  JoinBridge bridge({DataType::kInt64, DataType::kDouble}, {0}, &ctx);
-  bridge.AddBuildDriver();
+  HashTable table({DataType::kInt64});
+  std::vector<int64_t> row_ids;
+  std::vector<int64_t> ids;
   for (const auto& page : MakeKeyedPages(build_keys, build_keys, 7)) {
-    if (!bridge.AddBuildPage(page).ok()) {
-      state.SkipWithError("build page rejected");
-      return;
-    }
+    table.LookupOrInsert(*page, {0}, &ids);
+    row_ids.insert(row_ids.end(), ids.begin(), ids.end());
   }
-  bridge.BuildDriverFinished();
+  // CSR spans: the build rows of id k are span_rows[offsets[k], offsets[k+1]).
+  std::vector<int64_t> offsets(static_cast<size_t>(table.size()) + 1, 0);
+  for (int64_t id : row_ids) ++offsets[id + 1];
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<int64_t> span_rows(row_ids.size());
+  std::vector<int64_t> fill(offsets.begin(), offsets.end() - 1);
+  for (size_t row = 0; row < row_ids.size(); ++row) {
+    span_rows[fill[row_ids[row]]++] = static_cast<int64_t>(row);
+  }
   std::vector<PagePtr> probe_pages =
       MakeKeyedPages(kMicroRows, build_keys, 9);
+  std::vector<int32_t> probe_rows;
+  std::vector<int64_t> build_rows;
   for (auto _ : state) {
     int64_t matches = 0;
     for (const auto& page : probe_pages) {
-      std::vector<int32_t> probe_rows;
-      std::vector<int64_t> build_rows;
-      if (!bridge.Probe(*page, {0}, &probe_rows, &build_rows).ok()) {
-        state.SkipWithError("probe failed");
-        return;
-      }
+      probe_rows.clear();
+      build_rows.clear();
+      table.FindJoinBatch(*page, {0}, offsets.data(), span_rows.data(),
+                          &probe_rows, &build_rows, simd);
       matches += static_cast<int64_t>(probe_rows.size());
     }
     benchmark::DoNotOptimize(matches);
@@ -277,7 +274,7 @@ void BM_BufferHandoff(benchmark::State& state) {
   bool elastic = state.range(0) == 1;
   EngineConfig config;
   config.elastic_buffers = elastic;
-  config.fixed_buffer_bytes = 1 << 16;
+  config.memory.fixed_buffer_bytes = 1 << 16;
   ResourceGovernor cpu("bench.cpu", 1e9, 1e9);
   ResourceGovernor nic("bench.nic", 1e12, 1e12);
   TaskContext ctx("bench", &cpu, &nic, &config);

@@ -32,8 +32,8 @@ inline AccordionCluster::Options ExperimentOptions(double cost_scale,
   // The cost model makes each row far more expensive than its bytes, so
   // buffers must be small in byte terms for backpressure to keep scan
   // progress aligned with consumer pace (the §5.2 streaming premise).
-  options.engine.initial_buffer_bytes = 2 * 1024;
-  options.engine.max_buffer_bytes = 16 * 1024;
+  options.engine.memory.initial_buffer_bytes = 2 * 1024;
+  options.engine.memory.max_buffer_bytes = 16 * 1024;
   return options;
 }
 

@@ -22,8 +22,8 @@ int main() {
   options.num_storage_nodes = 4;
   options.scale_factor = 0.01;
   options.engine.cost.scale = 2.0;
-  options.engine.initial_buffer_bytes = 2048;
-  options.engine.max_buffer_bytes = 16 * 1024;
+  options.engine.memory.initial_buffer_bytes = 2048;
+  options.engine.memory.max_buffer_bytes = 16 * 1024;
   AccordionCluster cluster(options);
   Session session(cluster.coordinator());
   AutoTuner tuner(cluster.coordinator());

@@ -1,42 +1,8 @@
 #include "exec/config.h"
 
 namespace accordion {
-namespace {
-
-/// Merges one deprecated alias into its canonical MemoryConfig field.
-/// `canonical_default` is the field's struct default: a canonical value
-/// equal to the default is treated as "not explicitly set", so a lone
-/// alias wins; two explicit, different values are a conflict.
-Status MergeAlias(const char* name, int64_t* alias, int64_t* canonical,
-                  int64_t canonical_default) {
-  if (*alias < 0) return Status::OK();
-  if (*canonical != canonical_default && *canonical != *alias) {
-    return Status::InvalidArgument(
-        std::string("EngineConfig::") + name +
-        " (deprecated) and EngineConfig::memory." + name +
-        " are both set to different values (" + std::to_string(*alias) +
-        " vs " + std::to_string(*canonical) + "); set only memory." + name);
-  }
-  *canonical = *alias;
-  *alias = -1;
-  return Status::OK();
-}
-
-}  // namespace
 
 Status EngineConfig::Normalize() {
-  const MemoryConfig defaults;
-  ACCORDION_RETURN_NOT_OK(MergeAlias("initial_buffer_bytes",
-                                     &initial_buffer_bytes,
-                                     &memory.initial_buffer_bytes,
-                                     defaults.initial_buffer_bytes));
-  ACCORDION_RETURN_NOT_OK(MergeAlias("max_buffer_bytes", &max_buffer_bytes,
-                                     &memory.max_buffer_bytes,
-                                     defaults.max_buffer_bytes));
-  ACCORDION_RETURN_NOT_OK(MergeAlias("fixed_buffer_bytes", &fixed_buffer_bytes,
-                                     &memory.fixed_buffer_bytes,
-                                     defaults.fixed_buffer_bytes));
-
   if (memory.initial_buffer_bytes <= 0) {
     return Status::InvalidArgument("memory.initial_buffer_bytes must be > 0");
   }

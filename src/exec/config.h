@@ -46,17 +46,10 @@ struct MemoryConfig {
   int64_t spill_chunk_bytes = 1 << 20;
 };
 
-/// Which probe kernel FindJoinBatch uses for single fixed-width join keys.
-enum class ProbePathMode {
-  kAuto,    // AVX2 when the CPU supports it, scalar otherwise
-  kScalar,  // force the scalar kernel
-};
-
-/// Hash-join shape knobs: probe kernel selection, the radix-partitioned
-/// build threshold, and grace-spill partitioning.
+/// Hash-join shape knobs: the radix-partitioned build threshold and
+/// grace-spill partitioning. The probe kernel (AVX2 or scalar) follows
+/// the CPU.
 struct JoinConfig {
-  ProbePathMode probe = ProbePathMode::kAuto;
-
   /// Build-row count at which an in-memory join build switches from one
   /// flat table to radix-partitioned cache-sized tables (0 disables the
   /// radix build). Only single fixed-width join keys partition; other key
@@ -120,33 +113,10 @@ struct EngineConfig {
   /// Join probe/build/spill shape knobs.
   JoinConfig join;
 
-  /// DEPRECATED aliases for the buffer fields now living in `memory`
-  /// (one release of grace). -1 means unset; a set alias is merged into
-  /// `memory` by Normalize(), which rejects a conflicting pair (alias and
-  /// canonical field both set to different values) with kInvalidArgument.
-  /// Runtime readers go through the buffer_*_bytes() accessors, so a
-  /// config that never passed through Normalize() still honors them.
-  int64_t initial_buffer_bytes = -1;
-  int64_t max_buffer_bytes = -1;
-  int64_t fixed_buffer_bytes = -1;
-
-  int64_t buffer_initial_bytes() const {
-    return initial_buffer_bytes >= 0 ? initial_buffer_bytes
-                                     : memory.initial_buffer_bytes;
-  }
-  int64_t buffer_max_bytes() const {
-    return max_buffer_bytes >= 0 ? max_buffer_bytes : memory.max_buffer_bytes;
-  }
-  int64_t buffer_fixed_bytes() const {
-    return fixed_buffer_bytes >= 0 ? fixed_buffer_bytes
-                                   : memory.fixed_buffer_bytes;
-  }
-
-  /// Merges the deprecated aliases into `memory` and validates the whole
-  /// config. Nonsensical combinations (negative budgets, max < initial
-  /// buffer capacity, per-query budget above the worker budget, zero spill
-  /// chunk, out-of-range radix/spill bits) are rejected with
-  /// kInvalidArgument — never silently clamped. Idempotent; called by
+  /// Validates the whole config. Nonsensical combinations (negative
+  /// budgets, max < initial buffer capacity, per-query budget above the
+  /// worker budget, zero spill chunk, out-of-range radix/spill bits) are
+  /// rejected with kInvalidArgument — never silently clamped. Called by
   /// AccordionCluster at construction.
   Status Normalize();
 
@@ -162,23 +132,6 @@ struct EngineConfig {
   /// Partial aggregation flush threshold (groups) — partial state is
   /// destroy-and-rebuildable (paper §4.1).
   int64_t partial_agg_flush_groups = 1 << 16;
-
-  /// Group cardinality at which a driver's aggregation switches from one
-  /// flat hash table to radix-partitioned tables (0 disables radix
-  /// aggregation). Below the threshold the single-table path is used
-  /// unchanged, so low-cardinality queries pay nothing.
-  int64_t radix_agg_min_groups = 1 << 14;
-
-  /// Target distinct groups per radix partition, sized so one partition's
-  /// slots + keys + accumulators stay roughly L2-resident.
-  int64_t radix_agg_partition_groups = 1 << 12;
-
-  /// Upper bound on radix bits (2^bits partition tables per driver).
-  int radix_agg_max_bits = 10;
-
-  /// Rows buffered per radix partition before they are drained through
-  /// that partition's table (amortizes per-batch table overhead).
-  int64_t radix_agg_drain_rows = 2048;
 
   /// Idle wait inside driver loops when no progress was possible.
   int64_t driver_idle_sleep_us = 1000;

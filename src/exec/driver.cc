@@ -20,6 +20,7 @@ Driver::Driver(int pipeline_id, int driver_seq,
 
 void Driver::Charge(const Operator& op, int64_t rows) {
   if (rows <= 0) return;
+  task_ctx_->AddProcessedRows(rows);
   double cost_us = static_cast<double>(rows) * op.CostPerRowMicros() *
                    task_ctx_->config().cost.scale;
   if (cost_us <= 0) return;
@@ -31,7 +32,6 @@ void Driver::Charge(const Operator& op, int64_t rows) {
   // the deadline, letting other units overlap the simulated wait.
   int64_t pace_us = start_us_ + static_cast<int64_t>(virtual_us_);
   pace_until_us_ = std::max(pace_until_us_, std::max(grant_us, pace_us));
-  task_ctx_->AddProcessedRows(rows);
 }
 
 Schedulable::Quantum Driver::RunQuantum(int64_t quantum_us) {

@@ -35,8 +35,10 @@ class Driver : public Schedulable {
   int driver_seq() const { return driver_seq_; }
 
  private:
-  /// Charges `rows` of `op`'s per-row cost: reserves node CPU and records
-  /// the pace deadline (at most one simulated core per driver).
+  /// Counts `rows` as processed and charges their per-row cost: reserves
+  /// node CPU and records the pace deadline (at most one simulated core
+  /// per driver). The count is kept in real mode too, where nothing is
+  /// charged.
   void Charge(const Operator& op, int64_t rows);
 
   int pipeline_id_;

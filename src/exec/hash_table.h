@@ -96,8 +96,8 @@ class HashTable {
 
   /// LookupOrInsert with precomputed row hashes (must equal what
   /// Page::HashRows produces over the key columns). Callers that already
-  /// hashed the batch — radix-partitioned aggregation hashes once to pick
-  /// partitions — skip the second hash pass.
+  /// hashed the batch — the radix-partitioned join build hashes once to
+  /// pick partitions — skip the second hash pass.
   void LookupOrInsertHashed(const std::vector<const Column*>& keys,
                             int64_t num_rows, const uint64_t* hashes,
                             std::vector<int64_t>* ids);
@@ -122,8 +122,8 @@ class HashTable {
   /// keys, scalar otherwise), then sizes the output arrays once from the
   /// CSR span lengths and fills match pairs with raw stores — no per-row
   /// push_back capacity checks. Output and match order are identical to
-  /// FindJoin. `allow_simd` false forces the scalar kernel (config knob,
-  /// tests, benches). Thread-safe like Find.
+  /// FindJoin. `allow_simd` false forces the scalar kernel (tests,
+  /// benches). Thread-safe like Find.
   void FindJoinBatch(const Page& page, const std::vector<int>& channels,
                      const int64_t* span_offsets, const int64_t* span_rows,
                      std::vector<int32_t>* probe_rows,

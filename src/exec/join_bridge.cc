@@ -81,10 +81,6 @@ JoinBridge::~JoinBridge() {
   TrackBuildBytes(-tracked_bytes_);
 }
 
-bool JoinBridge::allow_simd() const {
-  return ConfigOf(task_ctx_).join.probe != ProbePathMode::kScalar;
-}
-
 int64_t JoinBridge::budget_bytes() const {
   return task_ctx_ ? task_ctx_->build_budget_bytes() : 0;
 }
@@ -389,11 +385,10 @@ Status JoinBridge::Probe(const Page& probe, const std::vector<int>& probe_keys,
   // the flat/radix paths run lock-free and concurrently.
   const size_t pairs_before = build_rows->size();
   if (mode_ == Mode::kFlat) {
-    const bool simd = allow_simd();
     const PartitionIndex& part = *partitions_[0];
-    RecordProbePath(part.table.probe_path(simd) == HashTable::ProbePath::kSimd);
+    RecordProbePath(part.table.probe_path() == HashTable::ProbePath::kSimd);
     part.table.FindJoinBatch(probe, probe_keys, part.offsets.data(),
-                             part.rows.data(), probe_rows, build_rows, simd);
+                             part.rows.data(), probe_rows, build_rows);
     if (build_matched_bits_ != nullptr) {
       MarkBuildRows(build_rows->data() + pairs_before,
                     static_cast<int64_t>(build_rows->size() - pairs_before));
@@ -403,13 +398,12 @@ Status JoinBridge::Probe(const Page& probe, const std::vector<int>& probe_keys,
   if (mode_ == Mode::kRadix) {
     const int64_t n = probe.num_rows();
     if (n == 0) return Status::OK();
-    const bool simd = allow_simd();
     const Column& key_col = probe.column(probe_keys[0]);
     thread_local std::vector<int64_t> word_storage;
     const int64_t* words = KeyWords(key_col, &word_storage);
     thread_local std::vector<uint64_t> hashes;
     hashes.resize(static_cast<size_t>(n));
-    HashTable::HashWords(words, n, hashes.data(), simd);
+    HashTable::HashWords(words, n, hashes.data());
     thread_local std::vector<std::vector<int32_t>> selections;
     radix_->BuildSelections(hashes.data(), n, &selections);
     if (key_col.may_have_nulls()) {
@@ -425,7 +419,7 @@ Status JoinBridge::Probe(const Page& probe, const std::vector<int>& probe_keys,
                   sel.end());
       }
     }
-    RecordProbePath(partitions_[0]->table.probe_path(simd) ==
+    RecordProbePath(partitions_[0]->table.probe_path() ==
                     HashTable::ProbePath::kSimd);
     thread_local std::vector<int64_t> part_words;
     thread_local std::vector<uint64_t> part_hashes;
@@ -442,7 +436,7 @@ Status JoinBridge::Probe(const Page& probe, const std::vector<int>& probe_keys,
       const PartitionIndex& part = *partitions_[p];
       part.table.FindJoinHashed(part_words.data(), part_hashes.data(), np,
                                 part.offsets.data(), part.rows.data(),
-                                sel.data(), probe_rows, build_rows, simd);
+                                sel.data(), probe_rows, build_rows);
     }
     if (build_matched_bits_ != nullptr) {
       MarkBuildRows(build_rows->data() + pairs_before,
@@ -736,8 +730,7 @@ Result<PagePtr> JoinBridge::NextSpilledPage(
         match_build_.clear();
         chunk_index_->table.FindJoinBatch(
             *page, probe_keys, chunk_index_->offsets.data(),
-            chunk_index_->rows.data(), &match_probe_, &match_build_,
-            allow_simd());
+            chunk_index_->rows.data(), &match_probe_, &match_build_);
         if (tracks_probe_matches()) {
           if (ordinal >= static_cast<int64_t>(pair_probe_matched_.size())) {
             pair_probe_matched_.resize(static_cast<size_t>(ordinal) + 1);
@@ -884,7 +877,7 @@ Status JoinBridge::DrainLoadChunk() {
                            chunk_index_->rows.size()) *
           8;
   TrackBuildBytes(chunk_tracked_bytes_);
-  RecordProbePath(chunk_index_->table.probe_path(allow_simd()) ==
+  RecordProbePath(chunk_index_->table.probe_path() ==
                   HashTable::ProbePath::kSimd);
   return Status::OK();
 }

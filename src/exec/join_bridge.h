@@ -166,7 +166,6 @@ class JoinBridge {
     int depth = 0;
   };
 
-  bool allow_simd() const;
   int64_t budget_bytes() const;
   void TrackBuildBytes(int64_t delta);
   void RecordProbePath(bool simd);

@@ -25,7 +25,7 @@ class LocalExchange {
 
   // --- sink side ---
   bool AcceptingInput() const {
-    return queued_bytes_.load() < config_->buffer_initial_bytes() * 8;
+    return queued_bytes_.load() < config_->memory.initial_buffer_bytes * 8;
   }
   void Enqueue(const PagePtr& page);
   void AddSinkDriver() { ++sink_drivers_; }

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "exec/hash_table.h"
-#include "exec/radix_partitioner.h"
 
 namespace accordion {
 namespace {
@@ -591,19 +590,6 @@ struct AccVal {
 /// Input pages are consumed batch-at-a-time: one HashRows pass, one id
 /// resolution pass, then column-wise accumulator updates — no per-row key
 /// string or per-group heap allocations.
-///
-/// Cardinality has two regimes. Below `radix_agg_min_groups` everything
-/// lives in one table + one states vector (the fast path — nothing
-/// changes for low-group queries). Once a driver observes more distinct
-/// keys than that, the operator switches to radix-partitioned mode: rows
-/// are split by the top radix bits of their key hash into 2^k partitions,
-/// buffered per partition, and drained through one small table + states
-/// vector per partition, so the randomly-accessed working set stays
-/// roughly L2-sized no matter how many groups accumulate. k is chosen
-/// from the observed cardinality and escalates (re-splitting the existing
-/// partitions) if distinct keys keep growing past the partition budget.
-/// Partitions are disjoint in key space, so finalization just emits them
-/// one after another — no cross-partition merge step.
 class AggOperatorBase : public Operator {
  public:
   AggOperatorBase(TaskContext* ctx, std::vector<int> group_by,
@@ -626,25 +612,12 @@ class AggOperatorBase : public Operator {
   }
 
   void AddInput(const PagePtr& page) override {
-    if (radix_ == nullptr) {
-      table_.LookupOrInsert(*page, group_by_, &group_ids_);
-      states_.resize(static_cast<size_t>(table_.size()) * aggs_.size());
-      if (num_val_aggs_ > 0) {
-        val_states_.resize(static_cast<size_t>(table_.size()) * num_val_aggs_);
-      }
-      col_ptrs_.clear();
-      for (int c = 0; c < page->num_columns(); ++c) {
-        col_ptrs_.push_back(&page->column(c));
-      }
-      UpdateBatch(col_ptrs_, page->num_rows(), group_ids_.data(),
-                  states_.data(), val_states_.data());
-      const int64_t min_groups = task_ctx_->config().radix_agg_min_groups;
-      if (min_groups > 0 && !group_by_.empty() && table_.size() >= min_groups) {
-        SwitchToRadix();
-      }
-    } else {
-      RadixAdd(*page);
+    table_.LookupOrInsert(*page, group_by_, &group_ids_);
+    states_.resize(static_cast<size_t>(table_.size()) * aggs_.size());
+    if (num_val_aggs_ > 0) {
+      val_states_.resize(static_cast<size_t>(table_.size()) * num_val_aggs_);
     }
+    UpdateBatch(*page, group_ids_.data());
     MaybeFlush();
   }
 
@@ -667,28 +640,20 @@ class AggOperatorBase : public Operator {
   }
 
  protected:
-  /// Updates accumulators for a batch: `cols` is indexed by input channel,
-  /// `ids[i]` is row i's dense group id. `states` is the hot numeric array
-  /// (`[id * num_aggs + a]`), `vals` the min/max array
-  /// (`[id * num_val_aggs_ + val_index_[a]]`).
-  virtual void UpdateBatch(const std::vector<const Column*>& cols, int64_t n,
-                           const int64_t* ids, AccNum* states,
-                           AccVal* vals) = 0;
+  /// Updates accumulators for a batch: `ids[i]` is the dense group id of
+  /// `page`'s row i. Numeric states live in states_ (`[id * num_aggs + a]`),
+  /// min/max in val_states_ (`[id * num_val_aggs_ + val_index_[a]]`).
+  virtual void UpdateBatch(const Page& page, const int64_t* ids) = 0;
   virtual std::vector<DataType> OutputTypes() const = 0;
-  /// Appends the per-agg result columns for groups [begin, end) of
-  /// `states`/`vals` to `cols[group_by_.size()...]` (keys are already
-  /// appended).
-  virtual void EmitStates(const AccNum* states, const AccVal* vals,
-                          int64_t begin, int64_t end,
+  /// Appends the per-agg result columns for groups [begin, end) to
+  /// `cols[group_by_.size()...]` (keys are already appended).
+  virtual void EmitStates(int64_t begin, int64_t end,
                           std::vector<Column>* cols) = 0;
   /// Partial aggregation flushes early (destroy-and-rebuild, §4.1);
   /// final aggregation never does.
   virtual void MaybeFlush() {}
   /// Emit a default row when there are no groups and no GROUP BY keys?
   virtual bool EmitEmptyGroup() const { return false; }
-
-  /// Distinct groups observed so far (all partitions, or the one table).
-  int64_t NumGroups() const { return radix_ ? num_groups_ : table_.size(); }
 
   /// Hide the latency of the randomly-indexed states access behind the
   /// row loop, like the hash table does for its slots.
@@ -697,7 +662,8 @@ class AggOperatorBase : public Operator {
   /// Min/max accumulation shared by both phases; typed loops for the
   /// numeric cases, string compare without Value round-trips.
   void UpdateMinMax(const Column& col, int64_t n, const int64_t* ids, int vi,
-                    bool is_max, AccVal* vals) {
+                    bool is_max) {
+    AccVal* vals = val_states_.data();
     const int64_t stride = num_val_aggs_;
     // NULL inputs update nothing; an all-NULL group keeps has == false and
     // emits as NULL (also how partial all-NULL states pass through final).
@@ -749,7 +715,7 @@ class AggOperatorBase : public Operator {
   void FlushAll() {
     if (flushed_all_) return;
     flushed_all_ = true;
-    if (NumGroups() == 0 && group_by_.empty() && EmitEmptyGroup()) {
+    if (table_.empty() && group_by_.empty() && EmitEmptyGroup()) {
       // Zero input rows, global aggregation: emit the default row.
       states_.assign(aggs_.size(), AccNum{});
       val_states_.assign(num_val_aggs_, AccVal{});
@@ -757,7 +723,7 @@ class AggOperatorBase : public Operator {
       std::vector<Column> cols;
       cols.reserve(types.size());
       for (DataType t : types) cols.emplace_back(t);
-      EmitStates(states_.data(), val_states_.data(), 0, 1, &cols);
+      EmitStates(0, 1, &cols);
       pending_.push_back(Page::Make(std::move(cols)));
       states_.clear();
       val_states_.clear();
@@ -766,26 +732,24 @@ class AggOperatorBase : public Operator {
     EmitGroups();
   }
 
+  /// Emits every group and empties the table, keeping its slot capacity
+  /// for the next partial-agg flush cycle.
   void EmitGroups() {
-    if (radix_ == nullptr) {
-      EmitTable(table_, states_, val_states_);
-      table_.Clear();
-      states_.clear();
-      val_states_.clear();
-      return;
+    const int64_t total = table_.size();
+    std::vector<DataType> types = OutputTypes();
+    const int64_t max_rows = task_ctx_->config().batch_rows * 4;
+    for (int64_t begin = 0; begin < total; begin += max_rows) {
+      int64_t end = std::min(total, begin + max_rows);
+      std::vector<Column> cols;
+      cols.reserve(types.size());
+      for (DataType t : types) cols.emplace_back(t);
+      table_.AppendKeys(begin, end, &cols);
+      EmitStates(begin, end, &cols);
+      pending_.push_back(Page::Make(std::move(cols)));
     }
-    // Partitions cover disjoint key ranges: emitting them back to back IS
-    // the partition-wise merge. The partition layout is kept for further
-    // input (partial-agg flush cycles at steady cardinality).
-    const int parts = radix_->partitioner.num_partitions();
-    for (int p = 0; p < parts; ++p) DrainPartition(p);
-    for (auto& part : radix_->parts) {
-      EmitTable(part.table, part.states, part.val_states);
-      part.table.Clear();
-      part.states.clear();
-      part.val_states.clear();
-    }
-    num_groups_ = 0;
+    table_.Clear();
+    states_.clear();
+    val_states_.clear();
   }
 
   std::vector<int> group_by_;
@@ -799,206 +763,6 @@ class AggOperatorBase : public Operator {
   std::vector<int64_t> group_ids_;  // per-input-page scratch
   std::deque<PagePtr> pending_;
   bool flushed_all_ = false;
-
- private:
-  /// One radix partition: a small hash table, its accumulators, and the
-  /// buffered not-yet-drained input rows (all input channels + their
-  /// precomputed row hashes).
-  struct RadixPartition {
-    RadixPartition(const std::vector<DataType>& key_types,
-                   const std::vector<DataType>& input_types)
-        : table(key_types) {
-      buffer.reserve(input_types.size());
-      for (DataType t : input_types) buffer.emplace_back(t);
-    }
-    HashTable table;
-    std::vector<AccNum> states;
-    std::vector<AccVal> val_states;
-    std::vector<Column> buffer;
-    std::vector<uint64_t> hash_buffer;
-  };
-
-  struct RadixState {
-    RadixState(int bits, const std::vector<DataType>& key_types,
-               const std::vector<DataType>& input_types)
-        : partitioner(bits) {
-      parts.reserve(static_cast<size_t>(partitioner.num_partitions()));
-      for (int p = 0; p < partitioner.num_partitions(); ++p) {
-        parts.emplace_back(key_types, input_types);
-      }
-    }
-    RadixPartitioner partitioner;
-    std::vector<RadixPartition> parts;
-  };
-
-  void SwitchToRadix() {
-    const EngineConfig& cfg = task_ctx_->config();
-    int bits = std::max(
-        1, RadixPartitioner::ChooseBits(table_.size() * 4,
-                                        cfg.radix_agg_partition_groups,
-                                        cfg.radix_agg_max_bits));
-    radix_ = std::make_unique<RadixState>(bits, table_.key_types(),
-                                          input_types_);
-    num_groups_ = 0;
-    MigrateTable(&table_, &states_, &val_states_);
-    table_.Clear();
-    // Release, not just clear: these vectors were LLC-sized.
-    states_ = {};
-    val_states_ = {};
-  }
-
-  void RadixAdd(const Page& page) {
-    const int64_t n = page.num_rows();
-    page.HashRows(group_by_, &hash_scratch_);
-    radix_->partitioner.BuildSelections(hash_scratch_.data(), n, &selections_);
-    const int64_t drain_rows = task_ctx_->config().radix_agg_drain_rows;
-    const int num_channels = page.num_columns();
-    const int parts = radix_->partitioner.num_partitions();
-    for (int p = 0; p < parts; ++p) {
-      const std::vector<int32_t>& sel = selections_[p];
-      if (sel.empty()) continue;
-      const int64_t count = static_cast<int64_t>(sel.size());
-      RadixPartition& part = radix_->parts[p];
-      for (int c = 0; c < num_channels; ++c) {
-        part.buffer[c].AppendGather(page.column(c), sel.data(), count);
-      }
-      size_t old = part.hash_buffer.size();
-      part.hash_buffer.resize(old + static_cast<size_t>(count));
-      for (int64_t j = 0; j < count; ++j) {
-        part.hash_buffer[old + j] = hash_scratch_[sel[j]];
-      }
-      if (part.buffer[0].size() >= drain_rows) DrainPartition(p);
-    }
-    MaybeResplit();
-  }
-
-  void DrainPartition(int p) {
-    RadixPartition& part = radix_->parts[p];
-    const int64_t n = part.buffer.empty() ? 0 : part.buffer[0].size();
-    if (n == 0) return;
-    key_ptrs_.clear();
-    for (int ch : group_by_) key_ptrs_.push_back(&part.buffer[ch]);
-    const int64_t before = part.table.size();
-    part.table.LookupOrInsertHashed(key_ptrs_, n, part.hash_buffer.data(),
-                                    &group_ids_);
-    part.states.resize(static_cast<size_t>(part.table.size()) * aggs_.size());
-    if (num_val_aggs_ > 0) {
-      part.val_states.resize(static_cast<size_t>(part.table.size()) *
-                             num_val_aggs_);
-    }
-    col_ptrs_.clear();
-    for (const Column& col : part.buffer) col_ptrs_.push_back(&col);
-    UpdateBatch(col_ptrs_, n, group_ids_.data(), part.states.data(),
-                part.val_states.data());
-    num_groups_ += part.table.size() - before;
-    for (Column& col : part.buffer) col.Clear();
-    part.hash_buffer.clear();
-  }
-
-  /// Re-splits to more partitions when observed distinct keys outgrow the
-  /// current layout's budget (the adaptive-k escalation).
-  void MaybeResplit() {
-    const EngineConfig& cfg = task_ctx_->config();
-    const int cur_bits = radix_->partitioner.bits();
-    if (cur_bits >= cfg.radix_agg_max_bits) return;
-    const int64_t budget = static_cast<int64_t>(radix_->partitioner.num_partitions()) *
-                           cfg.radix_agg_partition_groups;
-    if (num_groups_ <= budget) return;
-    int bits = RadixPartitioner::ChooseBits(num_groups_ * 4,
-                                            cfg.radix_agg_partition_groups,
-                                            cfg.radix_agg_max_bits);
-    if (bits <= cur_bits) return;
-    const int old_parts = radix_->partitioner.num_partitions();
-    for (int p = 0; p < old_parts; ++p) DrainPartition(p);
-    std::unique_ptr<RadixState> old = std::move(radix_);
-    radix_ = std::make_unique<RadixState>(bits, table_.key_types(),
-                                          input_types_);
-    num_groups_ = 0;
-    for (RadixPartition& part : old->parts) {
-      MigrateTable(&part.table, &part.states, &part.val_states);
-    }
-  }
-
-  /// Moves every group of `table` (keys + accumulators) into the radix
-  /// partitions owning its hash. Used on the initial switch (from the
-  /// single table) and on re-splits (from each old partition).
-  void MigrateTable(HashTable* table, std::vector<AccNum>* states,
-                    std::vector<AccVal>* vals) {
-    const int64_t total = table->size();
-    if (total == 0) return;
-    const int64_t num_aggs = static_cast<int64_t>(aggs_.size());
-    // Re-materialize the canonical keys and rehash them; HashInto over the
-    // key columns in group-by order matches Page::HashRows bit-for-bit.
-    std::vector<Column> key_cols;
-    key_cols.reserve(table->key_types().size());
-    for (DataType t : table->key_types()) key_cols.emplace_back(t);
-    table->AppendKeys(0, total, &key_cols);
-    std::vector<uint64_t> hashes(static_cast<size_t>(total), Page::kHashSeed);
-    for (const Column& col : key_cols) col.HashInto(&hashes);
-    radix_->partitioner.BuildSelections(hashes.data(), total, &selections_);
-    const int parts = radix_->partitioner.num_partitions();
-    std::vector<Column> gathered;
-    std::vector<uint64_t> gathered_hashes;
-    for (int p = 0; p < parts; ++p) {
-      const std::vector<int32_t>& sel = selections_[p];
-      if (sel.empty()) continue;
-      const int64_t count = static_cast<int64_t>(sel.size());
-      gathered.clear();
-      key_ptrs_.clear();
-      for (const Column& col : key_cols) {
-        gathered.push_back(col.Gather(sel.data(), count));
-      }
-      for (const Column& col : gathered) key_ptrs_.push_back(&col);
-      gathered_hashes.resize(static_cast<size_t>(count));
-      for (int64_t j = 0; j < count; ++j) gathered_hashes[j] = hashes[sel[j]];
-      RadixPartition& part = radix_->parts[p];
-      const int64_t before = part.table.size();
-      part.table.LookupOrInsertHashed(key_ptrs_, count, gathered_hashes.data(),
-                                      &group_ids_);
-      part.states.resize(static_cast<size_t>(part.table.size()) * num_aggs);
-      if (num_val_aggs_ > 0) {
-        part.val_states.resize(static_cast<size_t>(part.table.size()) *
-                               num_val_aggs_);
-      }
-      // Keys are distinct, so each row got a fresh dense id; move states.
-      for (int64_t j = 0; j < count; ++j) {
-        AccNum* dst = part.states.data() + group_ids_[j] * num_aggs;
-        const AccNum* src = states->data() + sel[j] * num_aggs;
-        for (int64_t a = 0; a < num_aggs; ++a) dst[a] = src[a];
-        if (num_val_aggs_ > 0) {
-          AccVal* vdst = part.val_states.data() + group_ids_[j] * num_val_aggs_;
-          AccVal* vsrc = vals->data() + sel[j] * num_val_aggs_;
-          for (int v = 0; v < num_val_aggs_; ++v) vdst[v] = std::move(vsrc[v]);
-        }
-      }
-      num_groups_ += part.table.size() - before;
-    }
-  }
-
-  void EmitTable(const HashTable& table, const std::vector<AccNum>& states,
-                 const std::vector<AccVal>& vals) {
-    const int64_t total = table.size();
-    if (total == 0) return;
-    std::vector<DataType> types = OutputTypes();
-    const int64_t max_rows = task_ctx_->config().batch_rows * 4;
-    for (int64_t begin = 0; begin < total; begin += max_rows) {
-      int64_t end = std::min(total, begin + max_rows);
-      std::vector<Column> cols;
-      cols.reserve(types.size());
-      for (DataType t : types) cols.emplace_back(t);
-      table.AppendKeys(begin, end, &cols);
-      EmitStates(states.data(), vals.data(), begin, end, &cols);
-      pending_.push_back(Page::Make(std::move(cols)));
-    }
-  }
-
-  std::unique_ptr<RadixState> radix_;
-  int64_t num_groups_ = 0;  // drained groups across partitions (radix mode)
-  // Reused per-page scratch.
-  std::vector<uint64_t> hash_scratch_;
-  std::vector<std::vector<int32_t>> selections_;
-  std::vector<const Column*> col_ptrs_;
-  std::vector<const Column*> key_ptrs_;
 };
 
 class PartialAggOperator : public AggOperatorBase {
@@ -1011,8 +775,9 @@ class PartialAggOperator : public AggOperatorBase {
   std::string Name() const override { return "PartialAggregation"; }
 
  protected:
-  void UpdateBatch(const std::vector<const Column*>& cols, int64_t n,
-                   const int64_t* ids, AccNum* states, AccVal* vals) override {
+  void UpdateBatch(const Page& page, const int64_t* ids) override {
+    const int64_t n = page.num_rows();
+    AccNum* states = states_.data();
     const size_t num_aggs = aggs_.size();
     for (size_t a = 0; a < num_aggs; ++a) {
       const Aggregate& agg = aggs_[a];
@@ -1020,7 +785,7 @@ class PartialAggOperator : public AggOperatorBase {
       // nothing. The all-valid hot loops stay branch-free; `valid` is only
       // consulted when the input column actually carries a validity buffer.
       const Column* in =
-          agg.input_channel >= 0 ? cols[agg.input_channel] : nullptr;
+          agg.input_channel >= 0 ? &page.column(agg.input_channel) : nullptr;
       const uint8_t* valid = (in != nullptr && in->may_have_nulls())
                                  ? in->validity().data()
                                  : nullptr;
@@ -1082,8 +847,7 @@ class PartialAggOperator : public AggOperatorBase {
         }
         case AggFunc::kMin:
         case AggFunc::kMax:
-          UpdateMinMax(*in, n, ids, val_index_[a], agg.func == AggFunc::kMax,
-                       vals);
+          UpdateMinMax(*in, n, ids, val_index_[a], agg.func == AggFunc::kMax);
           break;
         case AggFunc::kAvg: {
           const Column& col = *in;
@@ -1140,8 +904,10 @@ class PartialAggOperator : public AggOperatorBase {
     return types;
   }
 
-  void EmitStates(const AccNum* states, const AccVal* vals, int64_t begin,
-                  int64_t end, std::vector<Column>* cols) override {
+  void EmitStates(int64_t begin, int64_t end,
+                  std::vector<Column>* cols) override {
+    const AccNum* states = states_.data();
+    const AccVal* vals = val_states_.data();
     const size_t num_aggs = aggs_.size();
     const int64_t count = end - begin;
     size_t c = group_by_.size();
@@ -1213,7 +979,7 @@ class PartialAggOperator : public AggOperatorBase {
   }
 
   void MaybeFlush() override {
-    if (NumGroups() >= task_ctx_->config().partial_agg_flush_groups) {
+    if (table_.size() >= task_ctx_->config().partial_agg_flush_groups) {
       EmitGroups();  // partial state is disposable
     }
   }
@@ -1231,15 +997,16 @@ class FinalAggOperator : public AggOperatorBase {
 
  protected:
   // Input layout: group keys at [0, k), then per-agg state columns.
-  void UpdateBatch(const std::vector<const Column*>& cols, int64_t n,
-                   const int64_t* ids, AccNum* states, AccVal* vals) override {
+  void UpdateBatch(const Page& page, const int64_t* ids) override {
+    const int64_t n = page.num_rows();
+    AccNum* states = states_.data();
     const size_t num_aggs = aggs_.size();
     int ch = static_cast<int>(group_by_.size());
     for (size_t a = 0; a < num_aggs; ++a) {
       const Aggregate& agg = aggs_[a];
       switch (agg.func) {
         case AggFunc::kCount: {
-          const int64_t* v = cols[ch++]->ints().data();
+          const int64_t* v = page.column(ch++).ints().data();
           for (int64_t i = 0; i < n; ++i) {
             if (i + kStatePrefetch < n) {
               __builtin_prefetch(&states[ids[i + kStatePrefetch] * num_aggs]);
@@ -1252,7 +1019,7 @@ class FinalAggOperator : public AggOperatorBase {
           // Partial sums are NULL for all-NULL groups — skip them and keep
           // the non-NULL contribution count in the spare AccNum word so an
           // everywhere-NULL group finalizes as NULL.
-          const Column& col = *cols[ch++];
+          const Column& col = page.column(ch++);
           const uint8_t* valid =
               col.may_have_nulls() ? col.validity().data() : nullptr;
           if (agg.ResultType() == DataType::kInt64) {
@@ -1293,12 +1060,12 @@ class FinalAggOperator : public AggOperatorBase {
         }
         case AggFunc::kMin:
         case AggFunc::kMax:
-          UpdateMinMax(*cols[ch++], n, ids, val_index_[a],
-                       agg.func == AggFunc::kMax, vals);
+          UpdateMinMax(page.column(ch++), n, ids, val_index_[a],
+                       agg.func == AggFunc::kMax);
           break;
         case AggFunc::kAvg: {
-          const double* sum = cols[ch]->doubles().data();
-          const int64_t* cnt = cols[ch + 1]->ints().data();
+          const double* sum = page.column(ch).doubles().data();
+          const int64_t* cnt = page.column(ch + 1).ints().data();
           for (int64_t i = 0; i < n; ++i) {
             if (i + kStatePrefetch < n) {
               __builtin_prefetch(&states[ids[i + kStatePrefetch] * num_aggs]);
@@ -1324,8 +1091,10 @@ class FinalAggOperator : public AggOperatorBase {
     return types;
   }
 
-  void EmitStates(const AccNum* states, const AccVal* vals, int64_t begin,
-                  int64_t end, std::vector<Column>* cols) override {
+  void EmitStates(int64_t begin, int64_t end,
+                  std::vector<Column>* cols) override {
+    const AccNum* states = states_.data();
+    const AccVal* vals = val_states_.data();
     const size_t num_aggs = aggs_.size();
     const int64_t count = end - begin;
     size_t c = group_by_.size();

@@ -16,8 +16,8 @@ ElasticCapacity::ElasticCapacity(const EngineConfig* config,
                                  TaskContext* task_ctx)
     : config_(config),
       task_ctx_(task_ctx),
-      capacity_(config->elastic_buffers ? config->buffer_initial_bytes()
-                                        : config->buffer_fixed_bytes()),
+      capacity_(config->elastic_buffers ? config->memory.initial_buffer_bytes
+                                        : config->memory.fixed_buffer_bytes),
       window_start_ms_(NowMillis()) {}
 
 bool ElasticCapacity::Accepting(int64_t queued_bytes) const {
@@ -27,7 +27,7 @@ bool ElasticCapacity::Accepting(int64_t queued_bytes) const {
 void ElasticCapacity::OnEmptyPop() {
   if (!config_->elastic_buffers) return;
   int64_t cap = capacity_.load();
-  int64_t grown = std::min(config_->buffer_max_bytes(), cap * 2);
+  int64_t grown = std::min(config_->memory.max_buffer_bytes, cap * 2);
   if (grown != cap) {
     capacity_.store(grown);
     ++turn_ups_;
@@ -43,9 +43,9 @@ void ElasticCapacity::OnConsume(int64_t bytes) {
   if (now - window_start_ms_ >= config_->buffer_resize_interval_ms) {
     // Re-fit capacity to the recent consumption rate (with headroom), so
     // production never outruns consumption by more than one window.
-    int64_t fitted = std::max(config_->buffer_initial_bytes(),
+    int64_t fitted = std::max(config_->memory.initial_buffer_bytes,
                               window_bytes_ + window_bytes_ / 2);
-    capacity_.store(std::min(config_->buffer_max_bytes(), fitted));
+    capacity_.store(std::min(config_->memory.max_buffer_bytes, fitted));
     window_bytes_ = 0;
     window_start_ms_ = now;
   }

@@ -8,16 +8,15 @@
 
 namespace accordion {
 
-/// Radix partitioning machinery shared by hash aggregation and the
-/// partitioned shuffle write path.
+/// Radix partitioning machinery shared by the join build, grace spill and
+/// the partitioned shuffle write path.
 ///
-/// The aggregation use (the cache-resident group-by path): a driver whose
-/// group table outgrows ~L2 splits the hash space into 2^bits partitions
-/// by the TOP `bits` of each row hash, buffers rows per partition, and
-/// runs one small HashTable per partition. Slot indices use the LOW bits
-/// of the same hash, so within a partition the slot distribution stays
-/// uniform. Partitions are disjoint by construction, which makes the
-/// final merge a plain concatenation of per-partition group emissions.
+/// The join uses (the radix-partitioned in-memory build and the grace
+/// spill fan-out): rows split into 2^bits partitions by the TOP `bits` of
+/// each row hash, and each partition gets its own small HashTable. Slot
+/// indices use the LOW bits of the same hash, so within a partition the
+/// slot distribution stays uniform. Build and probe rows with equal keys
+/// land in the same partition, so partitions join pairwise.
 ///
 /// The shuffle use: consumer routing is `hash % count` (count is the
 /// consumer count, not a power of two) — BuildModuloSelections keeps that

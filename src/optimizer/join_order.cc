@@ -61,8 +61,8 @@ Status DisconnectedError() {
       "(cross joins are outside the SQL subset)");
 }
 
-/// Legacy textual order: start at table 0, repeatedly take the first
-/// FROM-order table connected to the joined set.
+/// Textual order: start at table 0, repeatedly take the first FROM-order
+/// table connected to the joined set.
 Result<std::vector<int>> TextualOrder(const JoinGraph& graph) {
   int n = static_cast<int>(graph.tables.size());
   std::vector<int> order = {0};
@@ -159,8 +159,7 @@ Result<JoinPlan> PlanJoinOrder(const JoinGraph& graph,
   std::vector<int> order;
   if (fuzz) {
     ACCORDION_ASSIGN_OR_RETURN(order, RandomOrder(graph, &rng));
-  } else if (options.mode == OptimizerMode::kOn && options.join_reorder &&
-             n <= 16) {
+  } else if (n <= 16) {
     ACCORDION_ASSIGN_OR_RETURN(order, BestOrder(graph));
   } else {
     ACCORDION_ASSIGN_OR_RETURN(order, TextualOrder(graph));
@@ -181,7 +180,7 @@ Result<JoinPlan> PlanJoinOrder(const JoinGraph& graph,
     if (fuzz) {
       step.flip = rng.Coin();
       step.broadcast = rng.Coin();
-    } else if (options.mode == OptimizerMode::kOn) {
+    } else {
       step.flip = options.build_side_selection && accumulated < table_rows;
       double build_rows = step.flip ? accumulated : table_rows;
       step.broadcast =

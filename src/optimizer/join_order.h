@@ -48,12 +48,11 @@ struct JoinPlan {
 };
 
 /// Chooses a join order for `graph` under `options`:
-///  - kOn with join_reorder: exhaustive left-deep dynamic programming over
-///    connected subsets, minimizing the sum of estimated intermediate
-///    cardinalities (TPC-H shapes are <= 8 tables; DP is 2^n * n^2);
-///  - kOn without join_reorder / kOff: textual order 0,1,2,... kept
-///    (tables unconnected at their turn are deferred, matching the legacy
-///    greedy loop);
+///  - kOn: exhaustive left-deep dynamic programming over connected
+///    subsets, minimizing the sum of estimated intermediate cardinalities
+///    (TPC-H shapes are <= 8 tables; DP is 2^n * n^2). Past 16 tables the
+///    DP is skipped and the textual order 0,1,2,... is kept (tables
+///    unconnected at their turn are deferred);
 ///  - kFuzz: a seeded random connected order with random build-side flips
 ///    and broadcast choices.
 /// Fails with InvalidArgument when the graph is not connected (cross

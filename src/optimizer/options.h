@@ -7,10 +7,6 @@ namespace accordion {
 
 /// How the SQL analyzer shapes the join tree.
 enum class OptimizerMode {
-  /// Legacy textual planning: joins follow FROM-clause order, the
-  /// accumulated relation is always the probe side, nation/region builds
-  /// broadcast, filters and projection pruning push down unconditionally.
-  kOff,
   /// Cost-based planning from catalog statistics: join-order enumeration
   /// minimizing estimated intermediate cardinalities, build-side and
   /// broadcast selection by estimated size, residual-filter placement as
@@ -22,41 +18,22 @@ enum class OptimizerMode {
   kFuzz,
 };
 
-/// Per-query optimizer knobs, carried inside QueryOptions. All the
-/// sub-switches apply to kOn only; kOff ignores them and kFuzz randomizes
-/// them from `fuzz_seed`.
+/// Per-query optimizer knobs, carried inside QueryOptions. The
+/// sub-switches apply to kOn; kFuzz randomizes them from `fuzz_seed`.
 struct OptimizerOptions {
   OptimizerMode mode = OptimizerMode::kOn;
-
-  /// Enumerate join orders by estimated cost (off: FROM order).
-  bool join_reorder = true;
-
-  /// Apply single-table filters below the joins, and multi-table residual
-  /// conjuncts as soon as every referenced column is available (off: all
-  /// WHERE conjuncts not consumed as join keys apply above the join tree).
-  bool filter_pushdown = true;
-
-  /// Prune build-side join keys that no later join or clause references
-  /// (off: every scanned column rides through every join).
-  bool projection_pushdown = true;
 
   /// Let the estimated-smaller side become the hash-join build side
   /// (off: the newly joined table always builds).
   bool build_side_selection = true;
 
   /// Builds whose estimated row count is at most this broadcast to every
-  /// probe task instead of hash-partitioning both sides (<= 0: only with
-  /// kOff's nation/region heuristic).
+  /// probe task instead of hash-partitioning both sides (<= 0: never).
   int64_t broadcast_row_limit = 2048;
 
   /// Seed for kFuzz rewrite decisions.
   uint64_t fuzz_seed = 0;
 
-  static OptimizerOptions Off() {
-    OptimizerOptions o;
-    o.mode = OptimizerMode::kOff;
-    return o;
-  }
   static OptimizerOptions Fuzz(uint64_t seed) {
     OptimizerOptions o;
     o.mode = OptimizerMode::kFuzz;

@@ -1089,14 +1089,10 @@ class Analyzer {
   // ---- Join tree --------------------------------------------------------
 
   Result<Rel> BuildJoinTree() {
-    // Effective pushdown knobs. kOff reproduces the legacy planner
-    // (pushdown always on); kFuzz draws them from the seed.
+    // Pushdown is always on, except that kFuzz draws it from the seed.
     bool filter_pushdown = true;
     bool projection_pushdown = true;
-    if (options_.mode == OptimizerMode::kOn) {
-      filter_pushdown = options_.filter_pushdown;
-      projection_pushdown = options_.projection_pushdown;
-    } else if (options_.mode == OptimizerMode::kFuzz) {
+    if (options_.mode == OptimizerMode::kFuzz) {
       uint64_t bits = Mix64(options_.fuzz_seed ^ 0x9E3779B97F4A7C15ULL);
       filter_pushdown = (bits & 1) != 0;
       projection_pushdown = (bits & 2) != 0;
@@ -1114,9 +1110,7 @@ class Analyzer {
     residual_applied_.assign(residual_.size(), false);
     // Eager residual application inside the (pre-outer-join) tree is only
     // sound when every join above it preserves the probe side.
-    eager_residuals_ = filter_pushdown &&
-                       options_.mode != OptimizerMode::kOff &&
-                       !has_right_or_full_;
+    eager_residuals_ = filter_pushdown && !has_right_or_full_;
 
     // Make sure all join-key columns are scanned, and count how many join
     // predicates use each column so pruning below never drops a key a
@@ -1198,8 +1192,7 @@ class Analyzer {
       const JoinStep& step = jplan.steps[i];
       int next = step.table;
       // Every unconsumed predicate between the joined set and `next`
-      // becomes a key pair of this join (declaration order keeps key
-      // ordering identical to the legacy planner).
+      // becomes a key pair of this join, in predicate declaration order.
       std::vector<std::string> probe_keys;
       std::vector<std::string> build_keys;
       std::vector<JoinPred*> used;
@@ -1233,9 +1226,6 @@ class Analyzer {
       }
       TableInfo& table = tables_[next];
       ACCORDION_ASSIGN_OR_RETURN(Rel build, ScanTable(next));
-      bool broadcast = options_.mode == OptimizerMode::kOff
-                           ? table.name == "nation" || table.name == "region"
-                           : step.broadcast;
       if (!step.flip) {
         // Build output: every needed column except join keys whose only
         // remaining purpose was this join (they are redundant with the
@@ -1252,7 +1242,7 @@ class Analyzer {
           }
         }
         rel = builder_->Join(rel, build, probe_keys, build_keys, build_output,
-                             broadcast);
+                             step.broadcast);
       } else {
         // Build-side flip: the accumulated relation is the (smaller)
         // build side and the new table probes. Legal for inner joins —
@@ -1270,15 +1260,15 @@ class Analyzer {
           }
         }
         rel = builder_->Join(build, rel, build_keys, probe_keys, acc_output,
-                             broadcast);
+                             step.broadcast);
       }
       rel = PlanBuilder::AnnotateRows(rel, step.est_rows);
       table.joined = true;
       rep << "  join " << graph.tables[next].label << ": build="
           << (step.flip ? "accumulated (flipped)"
                         : graph.tables[next].label)
-          << (broadcast ? ", broadcast" : ", partitioned") << ", est rows "
-          << static_cast<int64_t>(step.est_rows) << "\n";
+          << (step.broadcast ? ", broadcast" : ", partitioned")
+          << ", est rows " << static_cast<int64_t>(step.est_rows) << "\n";
       ACCORDION_RETURN_NOT_OK(ApplyEagerResiduals(&rel));
     }
     rep << "filter pushdown: " << (filter_pushdown ? "on" : "off")

@@ -48,8 +48,8 @@ namespace accordion {
 /// kOn (the default) estimates cardinalities from catalog statistics,
 /// reorders joins by dynamic programming, picks build sides and broadcast
 /// exchanges by estimated size and applies filters as early as possible;
-/// kOff reproduces the legacy textual-order plan; kFuzz draws every
-/// decision from `options.fuzz_seed` (differential plan-space testing).
+/// kFuzz draws every decision from `options.fuzz_seed` (differential
+/// plan-space testing).
 Result<PlanNodePtr> AnalyzeSql(const SqlQuery& query, const Catalog& catalog,
                                const OptimizerOptions& options = {});
 

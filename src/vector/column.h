@@ -103,7 +103,7 @@ class Column {
 
   /// Appends the rows of `other` selected by `rows` (in order): the
   /// gather-append used by selection-vector scatter (radix-partitioned
-  /// aggregation, partitioned shuffles). One resize, then a tight indexed
+  /// join builds, partitioned shuffles). One resize, then a tight indexed
   /// copy — no per-element capacity checks.
   void AppendGather(const Column& other, const int32_t* rows, int64_t count);
 

@@ -216,6 +216,26 @@ TEST(ClusterTest, SnapshotExposesStageTree) {
   EXPECT_GT(snapshot->end_ms, 0);
 }
 
+TEST(ClusterTest, RealModeCountsProcessedRowsPerStage) {
+  // cost.scale = 0 charges no simulated CPU; processed rows are still
+  // counted on every stage that moved rows.
+  AccordionCluster cluster(FastOptions());
+  auto submitted = cluster.coordinator()->Submit(
+      TpchQueryPlan(3, cluster.coordinator()->catalog()));
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  ASSERT_TRUE(cluster.coordinator()->Wait(*submitted, 120000).ok());
+
+  auto snapshot = cluster.coordinator()->Snapshot(*submitted);
+  ASSERT_TRUE(snapshot.ok());
+  int moving_stages = 0;
+  for (const auto& stage : snapshot->stages) {
+    if (stage.output_rows == 0) continue;
+    ++moving_stages;
+    EXPECT_GT(stage.processed_rows, 0) << "stage " << stage.stage_id;
+  }
+  EXPECT_GT(moving_stages, 1);
+}
+
 TEST(ClusterTest, BroadcastJoinStageScalesWithGenericPath) {
   auto options = FastOptions();
   options.engine.cost.scale = 2.0;

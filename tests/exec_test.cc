@@ -645,9 +645,9 @@ TEST(ElasticCapacityTest, FixedModeNeverResizes) {
   env.config.elastic_buffers = false;
   TaskContext ctx("t", &env.cpu, &env.nic, &env.config);
   ElasticCapacity cap(&env.config, &ctx);
-  EXPECT_EQ(cap.capacity_bytes(), env.config.buffer_fixed_bytes());
+  EXPECT_EQ(cap.capacity_bytes(), env.config.memory.fixed_buffer_bytes);
   cap.OnEmptyPop();
-  EXPECT_EQ(cap.capacity_bytes(), env.config.buffer_fixed_bytes());
+  EXPECT_EQ(cap.capacity_bytes(), env.config.memory.fixed_buffer_bytes);
   EXPECT_EQ(cap.turn_ups(), 0);
 }
 

@@ -745,7 +745,7 @@ TEST(FindJoinBatchPropertyTest, HashWordsMatchesScalarMix) {
 
 TEST(HashTablePropertyTest, HashedLookupMatchesUnhashed) {
   // LookupOrInsertHashed with Page::HashRows-computed hashes must behave
-  // exactly like the self-hashing path (the radix aggregation contract).
+  // exactly like the self-hashing path (the radix join build's contract).
   Random rng(321);
   HashTable self_hashing({DataType::kInt64});
   HashTable pre_hashed({DataType::kInt64});

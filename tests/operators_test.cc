@@ -171,16 +171,11 @@ TEST(PartialAggOperatorTest, EarlyFlushWhenGroupLimitHit) {
   FinishAndDrain(op.get());
 }
 
-// Radix-partitioned aggregation must be invisible in results: force tiny
-// thresholds so the single-table -> partitioned switch, the per-partition
-// drains, AND the adaptive re-split all happen, then compare group sums
-// against a plain std::map recomputation.
-TEST(PartialAggOperatorTest, RadixSwitchAndResplitPreserveAggregates) {
+// Thousands of groups through one driver's table: group sums and maxima
+// must match a plain std::map recomputation, each group emitted once.
+TEST(PartialAggOperatorTest, ManyGroupsPreserveAggregates) {
   OpEnv env;
   env.config.partial_agg_flush_groups = 1LL << 40;
-  env.config.radix_agg_min_groups = 32;       // switch almost immediately
-  env.config.radix_agg_partition_groups = 16; // force an escalation too
-  env.config.radix_agg_drain_rows = 64;
   Aggregate sum;
   sum.func = AggFunc::kSum;
   sum.input_channel = 1;
@@ -199,7 +194,7 @@ TEST(PartialAggOperatorTest, RadixSwitchAndResplitPreserveAggregates) {
     Column keys(DataType::kInt64);
     Column values(DataType::kInt64);
     for (int i = 0; i < 512; ++i) {
-      int64_t k = rng.NextInt(0, 4000);  // ~4000 groups >> 32 * 16 budget
+      int64_t k = rng.NextInt(0, 4000);  // ~4000 groups
       int64_t v = rng.NextInt(0, 1000);
       keys.AppendInt(k);
       values.AppendInt(v);
@@ -216,20 +211,17 @@ TEST(PartialAggOperatorTest, RadixSwitchAndResplitPreserveAggregates) {
       auto [it, inserted] = actual.try_emplace(
           p->column(0).IntAt(r),
           std::make_pair(p->column(1).IntAt(r), p->column(2).IntAt(r)));
-      ASSERT_TRUE(inserted) << "group emitted twice across partitions";
+      ASSERT_TRUE(inserted) << "group emitted twice";
     }
   }
   EXPECT_EQ(actual, expected);
 }
 
-TEST(PartialAggOperatorTest, RadixFlushCyclesKeepPartitionLayout) {
-  // Early flushes in radix mode must emit every drained group exactly
-  // once per cycle and keep accepting input afterwards.
+TEST(PartialAggOperatorTest, FlushCyclesEmitEveryGroup) {
+  // Early flushes must emit every group exactly once per cycle and keep
+  // accepting input afterwards.
   OpEnv env;
   env.config.partial_agg_flush_groups = 256;
-  env.config.radix_agg_min_groups = 64;
-  env.config.radix_agg_partition_groups = 32;
-  env.config.radix_agg_drain_rows = 32;
   Aggregate cnt;
   cnt.func = AggFunc::kCount;
   cnt.input_channel = -1;
@@ -257,53 +249,6 @@ TEST(PartialAggOperatorTest, RadixFlushCyclesKeepPartitionLayout) {
   // Counts across flush cycles must add up to the total input rows.
   EXPECT_EQ(total_count, 40 * 500);
   EXPECT_GE(emitted_rows, 2000);  // every key emitted at least once
-}
-
-TEST(FinalAggOperatorTest, RadixModeMatchesSingleTableMode) {
-  // The same partial-state stream through final aggregation with radix
-  // forced on vs off must produce identical merged groups.
-  auto run = [](bool radix) {
-    OpEnv env;
-    if (radix) {
-      env.config.radix_agg_min_groups = 16;
-      env.config.radix_agg_partition_groups = 8;
-      env.config.radix_agg_drain_rows = 16;
-    } else {
-      env.config.radix_agg_min_groups = 0;  // disabled
-    }
-    Aggregate avg;
-    avg.func = AggFunc::kAvg;
-    avg.input_channel = 0;
-    avg.input_type = DataType::kDouble;
-    auto factory = MakeFinalAggFactory(
-        {0}, {avg}, {DataType::kInt64, DataType::kDouble, DataType::kInt64});
-    OperatorPtr op = factory->Create(&env.ctx, 0);
-    Random rng(23);
-    for (int batch = 0; batch < 10; ++batch) {
-      Column key(DataType::kInt64);
-      Column sum(DataType::kDouble);
-      Column count(DataType::kInt64);
-      for (int i = 0; i < 200; ++i) {
-        key.AppendInt(rng.NextInt(0, 300));
-        sum.AppendDouble(rng.NextInt(0, 50));
-        count.AppendInt(rng.NextInt(1, 5));
-      }
-      op->AddInput(
-          Page::Make({std::move(key), std::move(sum), std::move(count)}));
-    }
-    op->Finish();
-    std::map<int64_t, double> out;
-    for (int spins = 0; spins < 10000; ++spins) {
-      PagePtr page = op->GetOutput();
-      if (page == nullptr) continue;
-      if (page->IsEnd()) break;
-      for (int64_t r = 0; r < page->num_rows(); ++r) {
-        out[page->column(0).IntAt(r)] = page->column(1).DoubleAt(r);
-      }
-    }
-    return out;
-  };
-  EXPECT_EQ(run(true), run(false));
 }
 
 TEST(FinalAggOperatorTest, MergesPartialStatesPositionally) {
@@ -449,7 +394,7 @@ TEST(TaskOutputOperatorTest, PushesToBufferAndCountsRows) {
 TEST(TaskOutputOperatorTest, RespectsBufferBackpressure) {
   OpEnv env;
   env.config.elastic_buffers = true;
-  env.config.initial_buffer_bytes = 8;  // absurdly small
+  env.config.memory.initial_buffer_bytes = 8;  // absurdly small
   OutputBufferConfig cfg;
   cfg.partitioning = Partitioning::kGather;
   cfg.initial_consumers = 1;

@@ -264,17 +264,19 @@ TEST(JoinOrderTest, DpStartsFromSmallestFilteredTable) {
   EXPECT_LT(plan->steps[1].est_rows, 1e6);
 }
 
-TEST(JoinOrderTest, OffKeepsTextualOrder) {
-  auto plan = PlanJoinOrder(StarGraph(), OptimizerOptions::Off());
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->steps[0].table, 0);
-  EXPECT_EQ(plan->steps[1].table, 1);
-  EXPECT_EQ(plan->steps[2].table, 2);
-  EXPECT_FALSE(plan->reordered);
-  for (const auto& s : plan->steps) {
-    EXPECT_FALSE(s.flip);
-    EXPECT_FALSE(s.broadcast);
+TEST(JoinOrderTest, PastSixteenTablesKeepsTextualOrder) {
+  // The DP stops at 16 tables; a larger connected graph keeps FROM order
+  // even when a later table is the cheaper start.
+  JoinGraph g;
+  for (int t = 0; t < 17; ++t) {
+    g.tables.push_back({"t" + std::to_string(t), t == 16 ? 5.0 : 1e6});
   }
+  for (int t = 0; t + 1 < 17; ++t) g.edges.push_back({t, t + 1, 1000, 1000});
+  auto plan = PlanJoinOrder(g, OptimizerOptions{});
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->steps.size(), 17u);
+  for (int t = 0; t < 17; ++t) EXPECT_EQ(plan->steps[t].table, t);
+  EXPECT_FALSE(plan->reordered);
 }
 
 TEST(JoinOrderTest, BuildSideAndBroadcastFollowEstimates) {
@@ -308,7 +310,6 @@ TEST(JoinOrderTest, DisconnectedGraphRejected) {
   auto plan = PlanJoinOrder(g, OptimizerOptions{});
   EXPECT_FALSE(plan.ok());
   EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(PlanJoinOrder(g, OptimizerOptions::Off()).ok());
   EXPECT_FALSE(PlanJoinOrder(g, OptimizerOptions::Fuzz(3)).ok());
 }
 
@@ -373,18 +374,6 @@ TEST_F(TpchOptimizerTest, ReportRendersCardinalitiesAndKnobs) {
   EXPECT_NE(report.find("filter pushdown: on"), std::string::npos);
   // The plan itself carries per-node row estimates that Explain renders.
   EXPECT_NE(analyzed->plan->ToString().find("[est. rows:"), std::string::npos);
-}
-
-TEST_F(TpchOptimizerTest, OffModeKeepsLegacyPlanShape) {
-  Catalog catalog = MakeCatalog();
-  for (int q = 1; q <= 12; ++q) {
-    auto query = ParseSqlQuery(TpchQuerySql(q));
-    ASSERT_TRUE(query.ok());
-    auto legacy = AnalyzeSql(*query, catalog, OptimizerOptions::Off());
-    ASSERT_TRUE(legacy.ok()) << "Q" << q << ": " << legacy.status().ToString();
-    auto tuned = AnalyzeSql(*query, catalog);
-    ASSERT_TRUE(tuned.ok()) << "Q" << q << ": " << tuned.status().ToString();
-  }
 }
 
 TEST_F(TpchOptimizerTest, EmptyAndTinyTableStatsStillPlan) {

@@ -32,8 +32,8 @@ AccordionCluster::Options FastOptions() {
 /// Small buffers so backpressure is observable at test scale.
 AccordionCluster::Options StreamingOptions() {
   AccordionCluster::Options options = FastOptions();
-  options.engine.initial_buffer_bytes = 2 * 1024;
-  options.engine.max_buffer_bytes = 8 * 1024;
+  options.engine.memory.initial_buffer_bytes = 2 * 1024;
+  options.engine.memory.max_buffer_bytes = 8 * 1024;
   return options;
 }
 

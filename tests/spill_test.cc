@@ -416,18 +416,5 @@ TEST(MemoryConfigTest, RejectsNonsensicalCombinations) {
   }
 }
 
-TEST(MemoryConfigTest, DeprecatedAliasesMergeIntoMemoryConfig) {
-  EngineConfig config;
-  config.max_buffer_bytes = 1 << 22;  // deprecated field still honored
-  ASSERT_TRUE(config.Normalize().ok());
-  EXPECT_EQ(config.memory.max_buffer_bytes, 1 << 22);
-  EXPECT_EQ(config.buffer_max_bytes(), 1 << 22);
-  // Alias and canonical set to conflicting values is an error.
-  EngineConfig conflicted;
-  conflicted.max_buffer_bytes = 1 << 22;
-  conflicted.memory.max_buffer_bytes = 1 << 21;
-  EXPECT_EQ(conflicted.Normalize().code(), StatusCode::kInvalidArgument);
-}
-
 }  // namespace
 }  // namespace accordion

@@ -28,8 +28,8 @@ AccordionCluster::Options StressOptions(double scale) {
   options.scale_factor = kSf;
   options.engine.cost.scale = scale;
   options.engine.rpc_latency_ms = 0;
-  options.engine.initial_buffer_bytes = 2048;
-  options.engine.max_buffer_bytes = 16 * 1024;
+  options.engine.memory.initial_buffer_bytes = 2048;
+  options.engine.memory.max_buffer_bytes = 16 * 1024;
   return options;
 }
 

@@ -11,10 +11,9 @@ namespace {
 // Differential harness: every standalone TPC-H query is recomputed by the
 // deliberately-naive scalar reference evaluator (tests/reference_eval) and
 // the engine's result row multiset must match it — at dop 1 and 4 and at
-// two scan page sizes, so the vectorized hash paths, the radix-partitioned
-// aggregation, exchange routing and page chunking all face the same
-// oracle. The reference is evaluated once per query and shared across the
-// four engine configurations.
+// two scan page sizes, so the vectorized hash paths, exchange routing and
+// page chunking all face the same oracle. The reference is evaluated once
+// per query and shared across the four engine configurations.
 
 constexpr double kScaleFactor = 0.005;
 
@@ -187,29 +186,6 @@ TEST_P(TpchSpillDifferentialTest, ForcedRadixMatchesScalarReference) {
   }
 }
 
-// The config knob that pins probes to the scalar kernel must not change
-// results either (it shares the oracle, so one dop is enough).
-TEST(TpchScalarProbeTest, ScalarProbeKnobMatchesReference) {
-  for (int q : {3, 9}) {
-    RefRelation expected;
-    {
-      AccordionCluster cluster(ClusterOptions(256));
-      expected = ReferenceEvaluate(
-          TpchQueryPlan(q, cluster.coordinator()->catalog()), kScaleFactor);
-    }
-    AccordionCluster::Options options = ClusterOptions(256);
-    options.engine.join.probe = ProbePathMode::kScalar;
-    AccordionCluster cluster(options);
-    Session session(cluster.coordinator());
-    auto query = session.Execute(TpchQueryPlan(q, session.catalog()), {});
-    ASSERT_TRUE(query.ok()) << query.status().ToString();
-    auto result = (*query)->Wait(120000);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    std::string diff = DiffRows(expected, *result);
-    EXPECT_TRUE(diff.empty()) << "Q" << q << " scalar-probe: " << diff;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(AllQueriesForcedPaths, TpchSpillDifferentialTest,
                          ::testing::Range(1, 13));
 
@@ -253,45 +229,6 @@ TEST_P(TpchPlanFuzzTest, RandomizedPlanRewritesMatchScalarReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PlanFuzz, TpchPlanFuzzTest, ::testing::Range(1, 13));
-
-// The radix switch must not change any query answer: rerun representative
-// high-group queries with thresholds forced low enough that the
-// partitioned path (including a re-split) engages even at test scale —
-// through the hand-built plan and through the SQL text (whose dedup /
-// decorrelation aggregations, e.g. Q4's, also cross the thresholds).
-TEST(TpchDifferentialTest, RadixThresholdsDoNotChangeAnswers) {
-  for (int q : {3, 4, 9, 10, 11}) {
-    AccordionCluster::Options options = ClusterOptions(256);
-    RefRelation expected;
-    {
-      AccordionCluster cluster(options);
-      expected = ReferenceEvaluate(
-          TpchQueryPlan(q, cluster.coordinator()->catalog()), kScaleFactor);
-    }
-    options.engine.radix_agg_min_groups = 32;
-    options.engine.radix_agg_partition_groups = 16;
-    options.engine.radix_agg_drain_rows = 64;
-    AccordionCluster cluster(options);
-    Session session(cluster.coordinator());
-    QueryOptions query_options;
-    query_options.stage_dop = 2;
-    query_options.task_dop = 2;
-    auto query =
-        session.Execute(TpchQueryPlan(q, session.catalog()), query_options);
-    ASSERT_TRUE(query.ok());
-    auto result = (*query)->Wait(120000);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    std::string diff = DiffRows(expected, *result);
-    EXPECT_TRUE(diff.empty()) << "Q" << q << " (forced radix): " << diff;
-
-    auto sql_query = session.Execute(TpchQuerySql(q), query_options);
-    ASSERT_TRUE(sql_query.ok()) << sql_query.status().ToString();
-    auto sql_result = (*sql_query)->Wait(120000);
-    ASSERT_TRUE(sql_result.ok()) << sql_result.status().ToString();
-    diff = DiffRows(expected, *sql_result);
-    EXPECT_TRUE(diff.empty()) << "Q" << q << " (forced radix, SQL): " << diff;
-  }
-}
 
 }  // namespace
 }  // namespace accordion
