@@ -137,9 +137,7 @@ void BM_HashAggGroupBy1M(benchmark::State& state) {
   std::vector<PagePtr> pages = MakeKeyedPages(kMicroRows, key_space, 42);
   EngineConfig config;
   config.partial_agg_flush_groups = 1LL << 40;  // keep all groups resident
-  ResourceGovernor cpu("bench.cpu", 1e12, 1e12);
-  ResourceGovernor nic("bench.nic", 1e12, 1e12);
-  TaskContext ctx("bench", &cpu, &nic, &config);
+  TaskContext ctx("bench", &config);
   auto factory = MakePartialAggFactory(
       {0},
       {Aggregate{AggFunc::kSum, 1, DataType::kDouble},
@@ -184,9 +182,7 @@ void BM_JoinBuildSweep(benchmark::State& state) {
   std::vector<PagePtr> build_pages = MakeKeyedPages(build_keys, build_keys, 7);
   EngineConfig config;
   config.join.radix_min_build_rows = 0;  // flat build: one table, one timer
-  ResourceGovernor cpu("bench.cpu", 1e12, 1e12);
-  ResourceGovernor nic("bench.nic", 1e12, 1e12);
-  TaskContext ctx("bench", &cpu, &nic, &config);
+  TaskContext ctx("bench", &config);
   for (auto _ : state) {
     JoinBridge bridge({DataType::kInt64, DataType::kDouble}, {0}, &ctx);
     bridge.AddBuildDriver();
@@ -275,9 +271,7 @@ void BM_BufferHandoff(benchmark::State& state) {
   EngineConfig config;
   config.elastic_buffers = elastic;
   config.memory.fixed_buffer_bytes = 1 << 16;
-  ResourceGovernor cpu("bench.cpu", 1e9, 1e9);
-  ResourceGovernor nic("bench.nic", 1e12, 1e12);
-  TaskContext ctx("bench", &cpu, &nic, &config);
+  TaskContext ctx("bench", &config);
   PagePtr page = MakeBenchPage(256);
   for (auto _ : state) {
     OutputBufferConfig cfg;

@@ -8,8 +8,8 @@ namespace accordion {
 
 AccordionCluster::AccordionCluster(Options options)
     : options_(std::move(options)) {
-  // Merge deprecated knob aliases into EngineConfig::memory and reject
-  // nonsensical combinations up front, before any component reads them.
+  // Reject nonsensical knob values up front, before any component reads
+  // them.
   Status normalized = options_.engine.Normalize();
   ACC_CHECK(normalized.ok()) << normalized.ToString();
   if (options_.engine.scheduler == nullptr) {

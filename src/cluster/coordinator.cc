@@ -440,8 +440,12 @@ Result<PagesResult> Coordinator::FetchResults(const std::string& query_id,
     int64_t start_ms = NowMillis();
     for (int attempt = 1;; ++attempt) {
       if (query->state.load() != QueryState::kRunning) break;
-      auto fetched = bus_->GetPages(query->root_split, /*buffer_id=*/0,
-                                    query->fetch_sequence, max_pages, nullptr);
+      int64_t ready_at_us = 0;
+      auto fetched =
+          bus_->GetPages(query->root_split, /*buffer_id=*/0,
+                         query->fetch_sequence, max_pages,
+                         /*consumer=*/nullptr, &ready_at_us);
+      SleepUntilMicros(ready_at_us);  // the coordinator blocks on the reply
       if (fetched.ok()) {
         result = std::move(fetched).value();
         query->fetch_sequence += static_cast<int64_t>(result.pages.size());

@@ -6,6 +6,7 @@
 #include "common/clock.h"
 #include "common/fault_injector.h"
 #include "common/logging.h"
+#include "exec/pacer.h"
 
 namespace accordion {
 
@@ -23,13 +24,6 @@ WorkerNode* RpcBus::worker(int worker_id) const {
 int RpcBus::num_workers() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return static_cast<int>(workers_.size());
-}
-
-void RpcBus::SimulateLatency() {
-  ++requests_;
-  if (config_->rpc_latency_ms > 0) {
-    SleepForMicros(static_cast<int64_t>(config_->rpc_latency_ms * 1000));
-  }
 }
 
 void RpcBus::CrashWorker(int worker_id) {
@@ -69,50 +63,9 @@ void RpcBus::RecordFault(const std::string& query_id, bool crash) {
 
 RpcBus::CallFate RpcBus::Intercept(const char* site, int worker_id,
                                    const std::string& query_id) {
-  SimulateLatency();
-  CallFate fate;
-  if (!WorkerAlive(worker_id)) {
-    fate.pre = Status::Unavailable("worker " + std::to_string(worker_id) +
-                                   " is down")
-                   .WithContext(site);
-    return fate;
-  }
-  FaultInjector* injector = config_->fault_injector;
-  if (injector == nullptr || !injector->enabled()) return fate;
-  FaultDecision decision = injector->Decide(site);
-  if (!decision.fault) return fate;
-  RecordFault(query_id, decision.kind == FaultKind::kWorkerCrash);
-  switch (decision.kind) {
-    case FaultKind::kTransientError:
-      fate.pre = Status::Unavailable("injected transient error")
-                     .WithContext(site);
-      return fate;
-    case FaultKind::kAddedLatency:
-      if (decision.latency_ms > 0) {
-        SleepForMicros(static_cast<int64_t>(decision.latency_ms * 1000));
-      }
-      return fate;
-    case FaultKind::kDropResponse:
-      fate.drop = true;
-      return fate;
-    case FaultKind::kWorkerCrash:
-      CrashWorker(worker_id);
-      fate.pre = Status::Unavailable("worker " + std::to_string(worker_id) +
-                                     " crashed (injected)")
-                     .WithContext(site);
-      return fate;
-  }
-  return fate;
-}
-
-RpcBus::CallFate RpcBus::InterceptDeferred(const char* site, int worker_id,
-                                           const std::string& query_id,
-                                           int64_t* delay_us) {
   ++requests_;
-  if (config_->rpc_latency_ms > 0) {
-    *delay_us += static_cast<int64_t>(config_->rpc_latency_ms * 1000);
-  }
   CallFate fate;
+  fate.delay_us = static_cast<int64_t>(config_->rpc_latency_ms * 1000);
   if (!WorkerAlive(worker_id)) {
     fate.pre = Status::Unavailable("worker " + std::to_string(worker_id) +
                                    " is down")
@@ -131,7 +84,7 @@ RpcBus::CallFate RpcBus::InterceptDeferred(const char* site, int worker_id,
       return fate;
     case FaultKind::kAddedLatency:
       if (decision.latency_ms > 0) {
-        *delay_us += static_cast<int64_t>(decision.latency_ms * 1000);
+        fate.delay_us += static_cast<int64_t>(decision.latency_ms * 1000);
       }
       return fate;
     case FaultKind::kDropResponse:
@@ -161,9 +114,23 @@ Status NoTask(const TaskId& task) {
 }
 }  // namespace
 
+Status RpcBus::CallTask(const char* site, int worker_id, const TaskId& task,
+                        const std::function<Status(Task*)>& action) {
+  CallFate fate = Intercept(site, worker_id, task.query_id);
+  SleepForMicros(fate.delay_us);
+  if (!fate.pre.ok()) return fate.pre;
+  WorkerNode* w = worker(worker_id);
+  if (w == nullptr) return NoWorker(worker_id);
+  Task* t = w->GetTask(task);
+  if (t == nullptr) return NoTask(task);
+  ACCORDION_RETURN_NOT_OK(action(t));
+  return FinishCall(fate, site);
+}
+
 Status RpcBus::ScheduleTask(int worker_id, TaskSpec spec,
                             NextSplitFn next_split) {
   CallFate fate = Intercept("rpc.ScheduleTask", worker_id, spec.id.query_id);
+  SleepForMicros(fate.delay_us);
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return NoWorker(worker_id);
@@ -172,114 +139,77 @@ Status RpcBus::ScheduleTask(int worker_id, TaskSpec spec,
 }
 
 Status RpcBus::StartTask(int worker_id, const TaskId& task) {
-  CallFate fate = Intercept("rpc.StartTask", worker_id, task.query_id);
-  if (!fate.pre.ok()) return fate.pre;
-  WorkerNode* w = worker(worker_id);
-  if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
-  if (t == nullptr) return NoTask(task);
-  t->Start();
-  return FinishCall(fate, "rpc.StartTask");
+  return CallTask("rpc.StartTask", worker_id, task, [](Task* t) {
+    t->Start();
+    return Status::OK();
+  });
 }
 
 Status RpcBus::AddRemoteSplits(int worker_id, const TaskId& task,
                                int source_stage,
                                const std::vector<RemoteSplit>& splits) {
-  CallFate fate = Intercept("rpc.AddRemoteSplits", worker_id, task.query_id);
-  if (!fate.pre.ok()) return fate.pre;
-  WorkerNode* w = worker(worker_id);
-  if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
-  if (t == nullptr) return NoTask(task);
-  t->AddRemoteSplits(source_stage, splits);
-  return FinishCall(fate, "rpc.AddRemoteSplits");
+  return CallTask("rpc.AddRemoteSplits", worker_id, task, [&](Task* t) {
+    t->AddRemoteSplits(source_stage, splits);
+    return Status::OK();
+  });
 }
 
 Status RpcBus::SetTaskDop(int worker_id, const TaskId& task, int dop) {
-  CallFate fate = Intercept("rpc.SetTaskDop", worker_id, task.query_id);
-  if (!fate.pre.ok()) return fate.pre;
-  WorkerNode* w = worker(worker_id);
-  if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
-  if (t == nullptr) return NoTask(task);
-  ACCORDION_RETURN_NOT_OK(t->SetDop(dop));
-  return FinishCall(fate, "rpc.SetTaskDop");
+  return CallTask("rpc.SetTaskDop", worker_id, task,
+                  [dop](Task* t) { return t->SetDop(dop); });
 }
 
 Status RpcBus::SetConsumerCount(int worker_id, const TaskId& task, int count) {
-  CallFate fate = Intercept("rpc.SetConsumerCount", worker_id, task.query_id);
-  if (!fate.pre.ok()) return fate.pre;
-  WorkerNode* w = worker(worker_id);
-  if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
-  if (t == nullptr) return NoTask(task);
-  t->output_buffer()->SetConsumerCount(count);
-  return FinishCall(fate, "rpc.SetConsumerCount");
+  return CallTask("rpc.SetConsumerCount", worker_id, task, [count](Task* t) {
+    t->output_buffer()->SetConsumerCount(count);
+    return Status::OK();
+  });
 }
 
 Status RpcBus::EndSignalOutput(int worker_id, const TaskId& task,
                                int buffer_id) {
-  CallFate fate = Intercept("rpc.EndSignalOutput", worker_id, task.query_id);
-  if (!fate.pre.ok()) return fate.pre;
-  WorkerNode* w = worker(worker_id);
-  if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
-  if (t == nullptr) return NoTask(task);
-  t->EndSignalOutput(buffer_id);
-  return FinishCall(fate, "rpc.EndSignalOutput");
+  return CallTask("rpc.EndSignalOutput", worker_id, task, [buffer_id](Task* t) {
+    t->EndSignalOutput(buffer_id);
+    return Status::OK();
+  });
 }
 
 Status RpcBus::SignalEndSources(int worker_id, const TaskId& task) {
-  CallFate fate = Intercept("rpc.SignalEndSources", worker_id, task.query_id);
-  if (!fate.pre.ok()) return fate.pre;
-  WorkerNode* w = worker(worker_id);
-  if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
-  if (t == nullptr) return NoTask(task);
-  t->SignalEndSources();
-  return FinishCall(fate, "rpc.SignalEndSources");
+  return CallTask("rpc.SignalEndSources", worker_id, task, [](Task* t) {
+    t->SignalEndSources();
+    return Status::OK();
+  });
 }
 
 Status RpcBus::AbortTask(int worker_id, const TaskId& task) {
-  CallFate fate = Intercept("rpc.AbortTask", worker_id, task.query_id);
-  if (!fate.pre.ok()) return fate.pre;
-  WorkerNode* w = worker(worker_id);
-  if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
-  if (t == nullptr) return NoTask(task);
-  t->Abort();
-  return FinishCall(fate, "rpc.AbortTask");
+  return CallTask("rpc.AbortTask", worker_id, task, [](Task* t) {
+    t->Abort();
+    return Status::OK();
+  });
 }
 
 Status RpcBus::AddOutputTaskGroup(int worker_id, const TaskId& task, int count,
                                   int first_buffer_id) {
-  CallFate fate = Intercept("rpc.AddOutputTaskGroup", worker_id, task.query_id);
-  if (!fate.pre.ok()) return fate.pre;
-  WorkerNode* w = worker(worker_id);
-  if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
-  if (t == nullptr) return NoTask(task);
-  t->AddOutputTaskGroup(count, first_buffer_id);
-  return FinishCall(fate, "rpc.AddOutputTaskGroup");
+  return CallTask("rpc.AddOutputTaskGroup", worker_id, task, [&](Task* t) {
+    t->AddOutputTaskGroup(count, first_buffer_id);
+    return Status::OK();
+  });
 }
 
 Status RpcBus::SwitchOutputToNewestGroup(int worker_id, const TaskId& task) {
-  CallFate fate =
-      Intercept("rpc.SwitchOutputToNewestGroup", worker_id, task.query_id);
-  if (!fate.pre.ok()) return fate.pre;
-  WorkerNode* w = worker(worker_id);
-  if (w == nullptr) return NoWorker(worker_id);
-  Task* t = w->GetTask(task);
-  if (t == nullptr) return NoTask(task);
-  t->SwitchOutputToNewestGroup();
-  return FinishCall(fate, "rpc.SwitchOutputToNewestGroup");
+  return CallTask("rpc.SwitchOutputToNewestGroup", worker_id, task,
+                  [](Task* t) {
+                    t->SwitchOutputToNewestGroup();
+                    return Status::OK();
+                  });
 }
 
 Result<PagesResult> RpcBus::GetPages(const RemoteSplit& split, int buffer_id,
                                      int64_t start_sequence, int max_pages,
-                                     ResourceGovernor* consumer_nic) {
+                                     Pacer* consumer, int64_t* ready_at_us) {
   CallFate fate =
       Intercept("rpc.GetPages", split.worker_id, split.task.query_id);
+  *ready_at_us = NowMicros() + fate.delay_us;
   if (!fate.pre.ok()) return fate.pre;
   WorkerNode* w = worker(split.worker_id);
   if (w == nullptr) {
@@ -296,52 +226,16 @@ Result<PagesResult> RpcBus::GetPages(const RemoteSplit& split, int buffer_id,
   }
   PagesResult result = t->GetPages(buffer_id, start_sequence, max_pages);
   int64_t bytes = result.TotalBytes();
-  if (bytes > 0) {
-    // Producer uplink and consumer downlink both carry the pages — also
-    // for dropped responses: the bytes were on the wire.
-    w->nic()->Consume(static_cast<double>(bytes));
-    if (consumer_nic != nullptr && consumer_nic != w->nic()) {
-      consumer_nic->Consume(static_cast<double>(bytes));
-    }
-  }
-  Status drop = FinishCall(fate, "rpc.GetPages");
-  if (!drop.ok()) return drop;
-  return result;
-}
-
-Result<PagesResult> RpcBus::GetPagesDeferred(const RemoteSplit& split,
-                                             int buffer_id,
-                                             int64_t start_sequence,
-                                             int max_pages,
-                                             ResourceGovernor* consumer_nic,
-                                             int64_t* ready_at_us) {
-  int64_t delay_us = 0;
-  CallFate fate = InterceptDeferred("rpc.GetPages", split.worker_id,
-                                    split.task.query_id, &delay_us);
-  *ready_at_us = NowMicros() + delay_us;
-  if (!fate.pre.ok()) return fate.pre;
-  WorkerNode* w = worker(split.worker_id);
-  if (w == nullptr) {
-    return Status::Unavailable("no worker " + std::to_string(split.worker_id))
-        .WithContext("rpc.GetPages");
-  }
-  Task* t = w->GetTask(split.task);
-  if (t == nullptr) {
-    return Status::Unavailable("no task " + split.task.ToString())
-        .WithContext("rpc.GetPages");
-  }
-  PagesResult result = t->GetPages(buffer_id, start_sequence, max_pages);
-  int64_t bytes = result.TotalBytes();
-  if (bytes > 0) {
+  Pacer* producer = w->pacer();
+  if (producer != nullptr && bytes > 0) {
     // Producer uplink and consumer downlink both carry the pages — also
     // for dropped responses: the bytes were on the wire. Reserved, not
     // blocked on: the grant time pushes out the response arrival.
-    int64_t grant_us = w->nic()->ReserveMicros(static_cast<double>(bytes));
-    if (consumer_nic != nullptr && consumer_nic != w->nic()) {
-      grant_us = std::max(
-          grant_us, consumer_nic->ReserveMicros(static_cast<double>(bytes)));
+    int64_t grant_us = producer->ChargeNic(bytes);
+    if (consumer != nullptr && consumer != producer) {
+      grant_us = std::max(grant_us, consumer->ChargeNic(bytes));
     }
-    *ready_at_us = std::max(*ready_at_us, grant_us + delay_us);
+    *ready_at_us = std::max(*ready_at_us, grant_us + fate.delay_us);
   }
   Status drop = FinishCall(fate, "rpc.GetPages");
   if (!drop.ok()) return drop;
@@ -351,6 +245,7 @@ Result<PagesResult> RpcBus::GetPagesDeferred(const RemoteSplit& split,
 std::optional<TaskInfo> RpcBus::GetTaskInfo(int worker_id,
                                             const TaskId& task) {
   CallFate fate = Intercept("rpc.GetTaskInfo", worker_id, task.query_id);
+  SleepForMicros(fate.delay_us);
   if (!fate.pre.ok() || fate.drop) return std::nullopt;
   WorkerNode* w = worker(worker_id);
   if (w == nullptr) return std::nullopt;

@@ -2,6 +2,7 @@
 #define ACCORDION_CLUSTER_RPC_BUS_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -24,13 +25,15 @@ struct QueryFaultStats {
 };
 
 /// In-process message bus standing in for the RESTful RPC layer of the
-/// paper's cluster. Every call sleeps the configured per-request latency
-/// (paper: each RESTful request takes 1–10 ms) and increments the global
-/// request counter (the paper reports, e.g., "the initial query plan
-/// construction for Q3 involves 65 RESTful requests").
+/// paper's cluster. Every call increments the global request counter (the
+/// paper reports, e.g., "the initial query plan construction for Q3
+/// involves 65 RESTful requests") and costs the configured per-request
+/// latency (paper: each RESTful request takes 1–10 ms): control-plane
+/// calls sleep it, page fetches report it through `ready_at_us`.
 ///
-/// Page transfers additionally charge the producer's and consumer's NIC
-/// governors, which is where shuffle/network bottlenecks come from.
+/// On a simulated cluster page transfers additionally charge the
+/// producer's and consumer's NICs through their Pacers, which is where
+/// shuffle/network bottlenecks come from.
 ///
 /// Fault model: when EngineConfig::fault_injector is set, every call first
 /// consults it under the site name "rpc.<Method>". A transient error skips
@@ -62,23 +65,18 @@ class RpcBus {
 
   // --- data plane ---
   /// Pulls pages from `split`'s output buffer, resuming at
-  /// `start_sequence` (see OutputBuffer::GetPages); charges both NICs.
-  /// kUnavailable covers injected faults, crashed workers and vanished
-  /// tasks — all retryable with the same start_sequence.
+  /// `start_sequence` (see OutputBuffer::GetPages). Never sleeps: sets
+  /// `*ready_at_us` to the absolute time the response arrives (request
+  /// latency + injected latency, pushed out by the producer's and
+  /// `consumer`'s NIC grants on a simulated cluster). The caller must not
+  /// use the pages before then — exchange clients yield their pool thread
+  /// until it, the coordinator sleeps. `consumer` is the fetching node's
+  /// Pacer, null for the coordinator and in real mode. kUnavailable covers
+  /// injected faults, crashed workers and vanished tasks — all retryable
+  /// with the same start_sequence.
   Result<PagesResult> GetPages(const RemoteSplit& split, int buffer_id,
                                int64_t start_sequence, int max_pages,
-                               ResourceGovernor* consumer_nic);
-
-  /// Non-blocking GetPages for pool-scheduled callers: instead of sleeping
-  /// the RPC latency and blocking on NIC bandwidth, reports via
-  /// `*ready_at_us` the absolute time the response arrives (request
-  /// latency + injected latency + both NIC grants). The caller must not
-  /// consume the pages before then — exchange clients yield their pool
-  /// thread until it.
-  Result<PagesResult> GetPagesDeferred(const RemoteSplit& split, int buffer_id,
-                                       int64_t start_sequence, int max_pages,
-                                       ResourceGovernor* consumer_nic,
-                                       int64_t* ready_at_us);
+                               Pacer* consumer, int64_t* ready_at_us);
 
   // --- worker health ---
   /// Kills `worker_id`: aborts all its tasks and makes every later call
@@ -103,16 +101,16 @@ class RpcBus {
   struct CallFate {
     Status pre;        // non-OK: fail now, skip the call entirely
     bool drop = false; // perform the call, then lose the response
+    int64_t delay_us = 0;  // base RPC latency + injected latency
   };
 
-  void SimulateLatency();
+  /// Counts the request and decides its fate; never sleeps.
   CallFate Intercept(const char* site, int worker_id,
                      const std::string& query_id);
-  /// Intercept variant that accumulates the simulated latency (base RPC
-  /// latency + injected added latency) into `*delay_us` instead of
-  /// sleeping it. Fault semantics are identical to Intercept.
-  CallFate InterceptDeferred(const char* site, int worker_id,
-                             const std::string& query_id, int64_t* delay_us);
+  /// One control-plane call on `task`: intercepts it, sleeps its delay,
+  /// then runs `action` on the task unless the call failed up front.
+  Status CallTask(const char* site, int worker_id, const TaskId& task,
+                  const std::function<Status(Task*)>& action);
   Status FinishCall(const CallFate& fate, const char* site);
   void RecordFault(const std::string& query_id, bool crash);
 

@@ -1,5 +1,6 @@
 #include "cluster/worker.h"
 
+#include "common/clock.h"
 #include "common/logging.h"
 
 namespace accordion {
@@ -7,22 +8,21 @@ namespace {
 
 /// Wraps a PageSource, charging producer (storage) and consumer (worker)
 /// NIC bandwidth for every page read — the data path from storage nodes
-/// to compute nodes in the paper's cluster.
+/// to compute nodes in the paper's cluster. Blocks the reading pool
+/// thread until each grant.
 class NicChargingPageSource : public PageSource {
  public:
-  NicChargingPageSource(std::unique_ptr<PageSource> inner,
-                        ResourceGovernor* storage_nic,
-                        ResourceGovernor* reader_nic)
-      : inner_(std::move(inner)),
-        storage_nic_(storage_nic),
-        reader_nic_(reader_nic) {}
+  NicChargingPageSource(std::unique_ptr<PageSource> inner, Pacer* storage,
+                        Pacer* reader)
+      : inner_(std::move(inner)), storage_(storage), reader_(reader) {}
 
   PagePtr Next() override {
     PagePtr page = inner_->Next();
     if (page != nullptr && page->ByteSize() > 0) {
-      double bytes = static_cast<double>(page->ByteSize());
-      storage_nic_->Consume(bytes);
-      if (reader_nic_ != nullptr) reader_nic_->Consume(bytes);
+      SleepUntilMicros(storage_->ChargeNic(page->ByteSize()));
+      if (reader_ != nullptr) {
+        SleepUntilMicros(reader_->ChargeNic(page->ByteSize()));
+      }
     }
     return page;
   }
@@ -31,38 +31,41 @@ class NicChargingPageSource : public PageSource {
 
  private:
   std::unique_ptr<PageSource> inner_;
-  ResourceGovernor* storage_nic_;
-  ResourceGovernor* reader_nic_;
+  Pacer* storage_;
+  Pacer* reader_;
 };
 
 }  // namespace
 
 StorageService::StorageService(int num_nodes, const NodeConfig& node_config,
                                const EngineConfig* engine_config)
-    : engine_config_(engine_config) {
-  nics_.reserve(num_nodes);
+    : engine_config_(engine_config), num_nodes_(num_nodes) {
   for (int n = 0; n < num_nodes; ++n) {
-    nics_.push_back(std::make_unique<ResourceGovernor>(
-        "storage" + std::to_string(n) + ".nic", node_config.nic_bytes_per_sec,
-        node_config.nic_burst_bytes));
+    if (auto pacer = MakePacer("storage" + std::to_string(n), node_config,
+                               *engine_config)) {
+      pacers_.push_back(std::move(pacer));
+    }
   }
 }
 
-std::unique_ptr<PageSource> StorageService::OpenSplit(
-    const SystemSplit& split, ResourceGovernor* reader_nic) {
+std::unique_ptr<PageSource> StorageService::OpenSplit(const SystemSplit& split,
+                                                      Pacer* reader) {
   ACC_CHECK(split.storage_node_id >= 0 &&
             split.storage_node_id < num_nodes())
       << "split references unknown storage node " << split.storage_node_id;
-  std::unique_ptr<PageSource> generator = std::make_unique<GeneratorPageSource>(
+  std::unique_ptr<PageSource> source = std::make_unique<GeneratorPageSource>(
       split.table, split.scale_factor, split.split_index, split.split_count,
       engine_config_->batch_rows);
   if (engine_config_->null_injection_rate > 0) {
-    generator = std::make_unique<NullInjectingPageSource>(
-        std::move(generator), engine_config_->null_injection_rate,
+    source = std::make_unique<NullInjectingPageSource>(
+        std::move(source), engine_config_->null_injection_rate,
         engine_config_->null_injection_seed);
   }
-  return std::make_unique<NicChargingPageSource>(
-      std::move(generator), nics_[split.storage_node_id].get(), reader_nic);
+  if (Pacer* storage = pacer(split.storage_node_id)) {
+    source = std::make_unique<NicChargingPageSource>(std::move(source),
+                                                     storage, reader);
+  }
+  return source;
 }
 
 WorkerNode::WorkerNode(int id, const NodeConfig& node_config,
@@ -72,26 +75,20 @@ WorkerNode::WorkerNode(int id, const NodeConfig& node_config,
       engine_config_(engine_config),
       bus_(bus),
       storage_(storage),
-      cpu_("worker" + std::to_string(id) + ".cpu", node_config.cpu_cores,
-           node_config.cpu_burst_seconds),
-      nic_("worker" + std::to_string(id) + ".nic",
-           node_config.nic_bytes_per_sec, node_config.nic_burst_bytes) {}
+      pacer_(MakePacer("worker" + std::to_string(id), node_config,
+                       *engine_config)) {}
 
 Status WorkerNode::CreateTask(TaskSpec spec, NextSplitFn next_split) {
   TaskApis apis;
   apis.next_split = std::move(next_split);
   apis.open_split = [this](const SystemSplit& split) {
-    return storage_->OpenSplit(split, &nic_);
+    return storage_->OpenSplit(split, pacer_.get());
   };
   apis.fetch_pages = [this](const RemoteSplit& split, int buffer_id,
-                            int64_t start_sequence, int max_pages) {
-    return bus_->GetPages(split, buffer_id, start_sequence, max_pages, &nic_);
-  };
-  apis.fetch_pages_deferred = [this](const RemoteSplit& split, int buffer_id,
-                                     int64_t start_sequence, int max_pages,
-                                     int64_t* ready_at_us) {
-    return bus_->GetPagesDeferred(split, buffer_id, start_sequence, max_pages,
-                                  &nic_, ready_at_us);
+                            int64_t start_sequence, int max_pages,
+                            int64_t* ready_at_us) {
+    return bus_->GetPages(split, buffer_id, start_sequence, max_pages,
+                          pacer_.get(), ready_at_us);
   };
 
   std::string key = spec.id.ToString();
@@ -103,7 +100,7 @@ Status WorkerNode::CreateTask(TaskSpec spec, NextSplitFn next_split) {
     return Status::AlreadyExists("task " + key + " already scheduled");
   }
   tasks_.emplace(key, std::make_unique<Task>(std::move(spec), std::move(apis),
-                                             &cpu_, &nic_, engine_config_));
+                                             engine_config_, pacer_.get()));
   return Status::OK();
 }
 

@@ -8,34 +8,42 @@
 #include <string>
 
 #include "cluster/rpc_bus.h"
+#include "exec/pacer.h"
 #include "exec/task.h"
 
 namespace accordion {
 
-/// Simulated storage tier: per-storage-node NIC governors plus split
-/// opening. Table data comes from the deterministic TPC-H generator
-/// (equivalent to reading the pre-split CSV files of the paper's setup).
+/// Storage tier: split opening plus, on a simulated cluster, one Pacer
+/// per storage node. Table data comes from the deterministic TPC-H
+/// generator (equivalent to reading the pre-split CSV files of the
+/// paper's setup).
 class StorageService {
  public:
   StorageService(int num_nodes, const NodeConfig& node_config,
                  const EngineConfig* engine_config);
 
-  /// Opens a split; returned source charges the storage node's NIC (and
-  /// the reader's, via `reader_nic`) per page.
+  /// Opens a split. On a simulated cluster the returned source charges the
+  /// storage node's NIC and the reader's (`reader`) per page, blocking the
+  /// reading thread until both grants.
   std::unique_ptr<PageSource> OpenSplit(const SystemSplit& split,
-                                        ResourceGovernor* reader_nic);
+                                        Pacer* reader);
 
-  int num_nodes() const { return static_cast<int>(nics_.size()); }
-  ResourceGovernor* nic(int node) { return nics_[node].get(); }
+  int num_nodes() const { return num_nodes_; }
+  /// Storage node `node`'s Pacer (only its NIC is charged); null in real
+  /// mode.
+  Pacer* pacer(int node) {
+    return pacers_.empty() ? nullptr : pacers_[node].get();
+  }
 
  private:
   const EngineConfig* engine_config_;
-  std::vector<std::unique_ptr<ResourceGovernor>> nics_;
+  int num_nodes_;
+  std::vector<std::unique_ptr<Pacer>> pacers_;  // empty in real mode
 };
 
-/// One simulated compute node: task manager + CPU/NIC governors
-/// (paper: c5.2xlarge instances). Owns its tasks; all control-plane calls
-/// arrive through the RpcBus.
+/// One compute node: task manager plus, on a simulated cluster, a Pacer
+/// for its CPU and NIC (paper: c5.2xlarge instances). Owns its tasks; all
+/// control-plane calls arrive through the RpcBus.
 class WorkerNode {
  public:
   WorkerNode(int id, const NodeConfig& node_config,
@@ -43,8 +51,8 @@ class WorkerNode {
              StorageService* storage);
 
   int id() const { return id_; }
-  ResourceGovernor* cpu() { return &cpu_; }
-  ResourceGovernor* nic() { return &nic_; }
+  /// This node's simulated CPU and NIC; null in real mode.
+  Pacer* pacer() { return pacer_.get(); }
 
   // --- task manager (invoked by RpcBus) ---
   Status CreateTask(TaskSpec spec, NextSplitFn next_split);
@@ -63,8 +71,7 @@ class WorkerNode {
   const EngineConfig* engine_config_;
   RpcBus* bus_;
   StorageService* storage_;
-  ResourceGovernor cpu_;
-  ResourceGovernor nic_;
+  std::unique_ptr<Pacer> pacer_;
 
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Task>> tasks_;

@@ -25,6 +25,11 @@ inline void SleepForMicros(int64_t us) {
 
 inline void SleepForMillis(int64_t ms) { SleepForMicros(ms * 1000); }
 
+/// Sleeps until the absolute time `until_us` (NowMicros epoch).
+inline void SleepUntilMicros(int64_t until_us) {
+  SleepForMicros(until_us - NowMicros());
+}
+
 /// Simple stopwatch for measuring elapsed wall time.
 class Stopwatch {
  public:

@@ -12,11 +12,13 @@ namespace accordion {
 /// (CPU cores, NIC bandwidth) inside the in-process cluster.
 ///
 /// The paper runs on c5.2xlarge nodes (8 vCPU, 10 Gbps NIC). We reproduce
-/// the *contention behaviour* of such nodes on a single host: every driver
-/// charges its virtual cost here, and when the aggregate demand on a node
-/// exceeds `rate`, callers are delayed exactly as they would be by a
-/// saturated core or NIC. This is what makes "adding parallelism stops
-/// helping once the node is maxed out" (paper Fig. 24) observable.
+/// the *contention behaviour* of such nodes on a single host: each
+/// simulated node's Pacer (exec/pacer.h) owns one governor for its cores
+/// and one for its NIC, every simulated charge lands on one of them, and
+/// when the aggregate demand on a node exceeds `rate`, callers are delayed
+/// exactly as they would be by a saturated core or NIC. This is what makes
+/// "adding parallelism stops helping once the node is maxed out" (paper
+/// Fig. 24) observable. A real-mode cluster builds none.
 ///
 /// Thread-safe. Reservations queue in FIFO order via negative balances.
 class ResourceGovernor {

@@ -1,5 +1,7 @@
 #include "exec/config.h"
 
+#include <utility>
+
 namespace accordion {
 
 Status EngineConfig::Normalize() {
@@ -54,6 +56,30 @@ Status EngineConfig::Normalize() {
   }
   if (null_injection_rate < 0 || null_injection_rate > 1) {
     return Status::InvalidArgument("null_injection_rate must be in [0, 1]");
+  }
+
+  const std::pair<const char*, double> non_negative[] = {
+      {"cost.scan_us", cost.scan_us},
+      {"cost.filter_us", cost.filter_us},
+      {"cost.project_us", cost.project_us},
+      {"cost.hash_build_us", cost.hash_build_us},
+      {"cost.probe_us", cost.probe_us},
+      {"cost.probe_output_us", cost.probe_output_us},
+      {"cost.partial_agg_us", cost.partial_agg_us},
+      {"cost.final_agg_us", cost.final_agg_us},
+      {"cost.topn_us", cost.topn_us},
+      {"cost.exchange_us", cost.exchange_us},
+      {"cost.local_exchange_us", cost.local_exchange_us},
+      {"cost.task_output_us", cost.task_output_us},
+      {"cost.shuffle_executor_us", cost.shuffle_executor_us},
+      {"cost.scale", cost.scale},
+      {"rpc_latency_ms", rpc_latency_ms},
+  };
+  for (const auto& [name, value] : non_negative) {
+    // Written so that NaN fails too.
+    if (!(value >= 0)) {
+      return Status::InvalidArgument(std::string(name) + " must be >= 0");
+    }
   }
   return Status::OK();
 }

@@ -73,12 +73,15 @@ struct JoinConfig {
   int max_spill_recursion = 3;
 };
 
-/// Virtual per-row CPU costs (microseconds of simulated core time) charged
-/// by drivers to their worker's CPU governor. These calibrate the
-/// *relative* weight of operators — scans and joins dominate, exchanges
-/// are cheap — so that throughput scales with DOP until a node's simulated
-/// cores saturate, which is the behaviour the paper's experiments depend
-/// on. `scale` compresses or stretches all experiments uniformly.
+/// Virtual per-row CPU costs (microseconds of simulated core time) that
+/// drivers and shuffle executors charge to their worker's Pacer
+/// (exec/pacer.h). These calibrate the *relative* weight of operators —
+/// scans and joins dominate, exchanges are cheap — so that throughput
+/// scales with DOP until a node's simulated cores saturate, which is the
+/// behaviour the paper's experiments depend on. `scale` compresses or
+/// stretches all experiments uniformly; `scale == 0` is real mode: the
+/// cluster builds no Pacer and simulates neither CPU nor NIC (NodeConfig
+/// is ignored). All values must be >= 0.
 struct CostModel {
   double scan_us = 30;
   double filter_us = 4;
@@ -104,7 +107,8 @@ struct EngineConfig {
 
   CostModel cost;
 
-  /// Simulated latency of one RESTful/RPC call (paper: 1–10 ms).
+  /// Simulated latency of one RESTful/RPC call (paper: 1–10 ms); 0 adds
+  /// none.
   double rpc_latency_ms = 2.0;
 
   /// Memory budgets, buffer capacities and spill knobs.
@@ -113,11 +117,12 @@ struct EngineConfig {
   /// Join probe/build/spill shape knobs.
   JoinConfig join;
 
-  /// Validates the whole config. Nonsensical combinations (negative
-  /// budgets, max < initial buffer capacity, per-query budget above the
-  /// worker budget, zero spill chunk, out-of-range radix/spill bits) are
-  /// rejected with kInvalidArgument — never silently clamped. Called by
-  /// AccordionCluster at construction.
+  /// Validates the whole config. Nonsensical values (negative budgets,
+  /// max < initial buffer capacity, per-query budget above the worker
+  /// budget, zero spill chunk, out-of-range radix/spill bits, a null
+  /// injection rate outside [0, 1], a negative cost-model entry or RPC
+  /// latency) are rejected with kInvalidArgument — never silently
+  /// clamped. Called by AccordionCluster at construction.
   Status Normalize();
 
   /// Consumer-side resize cadence for elastic buffers (paper: ~500 ms).
@@ -196,7 +201,8 @@ struct EngineConfig {
   int max_queries_per_tenant = 0;
 };
 
-/// Per-simulated-node resources (paper: c5.2xlarge, 8 vCPU, 10 Gbps).
+/// Per-simulated-node resources (paper: c5.2xlarge, 8 vCPU, 10 Gbps),
+/// one Pacer's worth. Ignored in real mode (cost.scale == 0).
 struct NodeConfig {
   double cpu_cores = 4.0;
   double nic_bytes_per_sec = 256.0 * 1024 * 1024;

@@ -4,6 +4,7 @@
 
 #include "common/clock.h"
 #include "common/logging.h"
+#include "exec/pacer.h"
 
 namespace accordion {
 
@@ -21,17 +22,18 @@ Driver::Driver(int pipeline_id, int driver_seq,
 void Driver::Charge(const Operator& op, int64_t rows) {
   if (rows <= 0) return;
   task_ctx_->AddProcessedRows(rows);
-  double cost_us = static_cast<double>(rows) * op.CostPerRowMicros() *
-                   task_ctx_->config().cost.scale;
+  Pacer* pacer = task_ctx_->pacer();
+  if (pacer == nullptr) return;
+  double cost_us = pacer->CpuMicros(rows, op.CostPerRowMicros());
   if (cost_us <= 0) return;
   virtual_us_ += cost_us;
-  int64_t grant_us = task_ctx_->ReserveCpuMicros(cost_us);
-  // Two constraints: the node's aggregate core budget (grant_us) and this
-  // driver's own single-core speed (start + accumulated virtual time).
-  // Recorded instead of slept: the driver yields the pool thread until
-  // the deadline, letting other units overlap the simulated wait.
+  // Two constraints: the node's aggregate core budget (the Pacer's grant)
+  // and this driver's own single-core speed (start + accumulated virtual
+  // time). Recorded instead of slept: the driver yields the pool thread
+  // until the deadline, letting other units overlap the simulated wait.
   int64_t pace_us = start_us_ + static_cast<int64_t>(virtual_us_);
-  pace_until_us_ = std::max(pace_until_us_, std::max(grant_us, pace_us));
+  pace_until_us_ =
+      std::max({pace_until_us_, pacer->ChargeCpu(cost_us), pace_us});
 }
 
 Schedulable::Quantum Driver::RunQuantum(int64_t quantum_us) {

@@ -14,10 +14,10 @@ namespace accordion {
 /// execution in a task (paper §2). One driver == one resumable unit on
 /// the shared morsel-scheduler pool: each quantum moves pages between
 /// adjacent operators and relays end pages (Fig. 13), charging each
-/// operator's virtual CPU cost to the worker governor. Instead of
-/// sleeping to pace itself to one simulated core, the driver records the
-/// pace deadline and yields the pool thread until it; backpressure and
-/// idle upstreams likewise yield instead of blocking.
+/// operator's virtual CPU cost to the worker's Pacer on a simulated
+/// cluster. Instead of sleeping to pace itself to one simulated core, the
+/// driver records the pace deadline and yields the pool thread until it;
+/// backpressure and idle upstreams likewise yield instead of blocking.
 class Driver : public Schedulable {
  public:
   Driver(int pipeline_id, int driver_seq, std::vector<OperatorPtr> operators,
@@ -35,10 +35,10 @@ class Driver : public Schedulable {
   int driver_seq() const { return driver_seq_; }
 
  private:
-  /// Counts `rows` as processed and charges their per-row cost: reserves
-  /// node CPU and records the pace deadline (at most one simulated core
-  /// per driver). The count is kept in real mode too, where nothing is
-  /// charged.
+  /// Counts `rows` as processed and, on a simulated cluster, charges their
+  /// per-row cost: reserves node CPU through the Pacer and records the
+  /// pace deadline (at most one simulated core per driver). In real mode
+  /// (no Pacer) this is a row count and one null check.
   void Charge(const Operator& op, int64_t rows);
 
   int pipeline_id_;

@@ -18,12 +18,10 @@ uint64_t JitterSeed(const std::string& task_id, int buffer_id) {
 }  // namespace
 
 ExchangeClient::ExchangeClient(TaskContext* task_ctx, int own_buffer_id,
-                               FetchPagesFn fetch,
-                               FetchPagesDeferredFn fetch_deferred)
+                               FetchPagesFn fetch)
     : task_ctx_(task_ctx),
       own_buffer_id_(own_buffer_id),
       fetch_(std::move(fetch)),
-      fetch_deferred_(std::move(fetch_deferred)),
       capacity_(&task_ctx->config(), task_ctx),
       rng_(JitterSeed(task_ctx->task_id(), own_buffer_id)) {}
 
@@ -156,14 +154,10 @@ Schedulable::Quantum ExchangeClient::RunQuantum(int64_t quantum_us) {
   }
   if (!have_target) return Quantum::Waiting(NowMicros() + 1000);
 
-  int64_t ready_at_us = NowMicros();
+  int64_t ready_at_us = 0;
   Result<PagesResult> fetched =
-      fetch_deferred_
-          ? fetch_deferred_(target, own_buffer_id_, start_sequence,
-                            task_ctx_->config().max_pages_per_fetch,
-                            &ready_at_us)
-          : fetch_(target, own_buffer_id_, start_sequence,
-                   task_ctx_->config().max_pages_per_fetch);
+      fetch_(target, own_buffer_id_, start_sequence,
+             task_ctx_->config().max_pages_per_fetch, &ready_at_us);
   if (!fetched.ok()) {
     const Status& error = fetched.status();
     if (!IsRetryableRpcStatus(error)) {

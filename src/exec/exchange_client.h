@@ -18,17 +18,12 @@ namespace accordion {
 
 /// Performs one GetPages RPC against an upstream task's output buffer,
 /// resuming at `start_sequence` (the pages already received from that
-/// buffer id). Wired by the cluster layer (adds RPC latency, NIC charging
-/// and fault injection); kUnavailable errors are retryable.
+/// buffer id). Wired by the cluster layer (RpcBus::GetPages: fault
+/// injection, RPC latency and, on a simulated cluster, NIC charging);
+/// kUnavailable errors are retryable. The fetch happens at once and never
+/// sleeps: it may set `*ready_at_us` (NowMicros epoch) to when the
+/// response arrives, and the caller must not use the pages before then.
 using FetchPagesFn = std::function<Result<PagesResult>(
-    const RemoteSplit&, int buffer_id, int64_t start_sequence, int max_pages)>;
-
-/// Deferred-latency variant for pool-scheduled fetchers: performs the
-/// fetch immediately but reports when the response would arrive
-/// (`ready_at_us`, simulated RPC latency + NIC bandwidth grants) instead
-/// of sleeping. The client commits the pages at that time and yields the
-/// pool thread in between.
-using FetchPagesDeferredFn = std::function<Result<PagesResult>(
     const RemoteSplit&, int buffer_id, int64_t start_sequence, int max_pages,
     int64_t* ready_at_us)>;
 
@@ -53,8 +48,7 @@ using FetchPagesDeferredFn = std::function<Result<PagesResult>(
 /// fabricates completion, because that would silently truncate results.
 class ExchangeClient : public Schedulable {
  public:
-  ExchangeClient(TaskContext* task_ctx, int own_buffer_id, FetchPagesFn fetch,
-                 FetchPagesDeferredFn fetch_deferred = nullptr);
+  ExchangeClient(TaskContext* task_ctx, int own_buffer_id, FetchPagesFn fetch);
   ~ExchangeClient() override;
 
   /// Registers an upstream task (startup wiring or runtime DOP increase).
@@ -88,7 +82,6 @@ class ExchangeClient : public Schedulable {
   TaskContext* task_ctx_;
   int own_buffer_id_;
   FetchPagesFn fetch_;
-  FetchPagesDeferredFn fetch_deferred_;
   ElasticCapacity capacity_;
   Random rng_;  // quantum-only (backoff jitter)
 

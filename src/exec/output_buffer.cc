@@ -4,6 +4,7 @@
 
 #include "common/clock.h"
 #include "common/logging.h"
+#include "exec/pacer.h"
 #include "exec/radix_partitioner.h"
 
 namespace accordion {
@@ -398,10 +399,9 @@ Schedulable::Quantum ShuffleBuffer::ExecutorQuantum(ExecutorUnit* unit,
       ++in_flight_;
       unit->active_ = true;
     }
-    double cost_us = static_cast<double>(unit->page_->num_rows()) *
-                     task_ctx_->config().cost.shuffle_executor_us *
-                     task_ctx_->config().cost.scale;
-    unit->grant_us_ = task_ctx_->ReserveCpuMicros(cost_us);
+    if (Pacer* pacer = task_ctx_->pacer()) {
+      unit->grant_us_ = pacer->ChargeShuffle(unit->page_->num_rows());
+    }
   }
 }
 
@@ -517,18 +517,19 @@ void ShuffleBuffer::AddTaskGroup(int count, int first_buffer_id) {
     replay = cache_;  // snapshot: later pages reach the group via routing
     ++replaying_;
   }
-  // Reshuffle the cache into the new group (Table 2's "shuffle time").
+  // Reshuffle the cache into the new group (Table 2's "shuffle time"),
+  // blocking the calling control-plane thread on the simulated shuffle CPU.
   int64_t bytes = 0;
   size_t group_index = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     group_index = groups_.size() - 1;
   }
+  Pacer* pacer = task_ctx_->pacer();
   for (const auto& page : replay) {
-    double cost_us = static_cast<double>(page->num_rows()) *
-                     task_ctx_->config().cost.shuffle_executor_us *
-                     task_ctx_->config().cost.scale;
-    task_ctx_->cpu()->Consume(cost_us * 1e-6);
+    if (pacer != nullptr) {
+      SleepUntilMicros(pacer->ChargeShuffle(page->num_rows()));
+    }
     bytes += page->ByteSize();
     std::lock_guard<std::mutex> lock(mutex_);
     PartitionIntoGroupLocked(page, &groups_[group_index]);

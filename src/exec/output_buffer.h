@@ -228,9 +228,10 @@ class BroadcastBuffer : public OutputBuffer {
 /// intra-stage elasticity for partitioned hash joins.
 ///
 /// Shuffle executors are resumable units on the shared morsel-scheduler
-/// pool (not dedicated threads): each pops a page, reserves the shuffle
-/// CPU cost from the worker governor, yields the pool thread until the
-/// grant time, then partitions the page into the live task groups. A page
+/// pool (not dedicated threads): each pops a page, on a simulated cluster
+/// charges the shuffle CPU cost to the worker's Pacer and yields the pool
+/// thread until the grant time, then partitions the page into the live
+/// task groups. A page
 /// counts as in-flight from pop to delivery, so consumers never observe a
 /// spurious completion while its rows are mid-shuffle.
 class ShuffleBuffer : public OutputBuffer {

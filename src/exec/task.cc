@@ -3,15 +3,16 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "exec/pacer.h"
 #include "exec/scheduler.h"
 
 namespace accordion {
 
-Task::Task(TaskSpec spec, TaskApis apis, ResourceGovernor* cpu,
-           ResourceGovernor* nic, const EngineConfig* config)
+Task::Task(TaskSpec spec, TaskApis apis, const EngineConfig* config,
+           Pacer* pacer)
     : spec_(std::move(spec)),
       apis_(std::move(apis)),
-      task_ctx_(spec_.id.ToString(), cpu, nic, config) {
+      task_ctx_(spec_.id.ToString(), config, pacer) {
   // All units of a query share one fair-queueing group, so the scheduler
   // arbitrates between queries, not between a query's own tasks. Must be
   // set before any unit is enqueued (the shuffle buffer enqueues its
@@ -34,8 +35,8 @@ Task::Task(TaskSpec spec, TaskApis apis, ResourceGovernor* cpu,
       if (override_it != spec_.source_buffer_ids.end()) {
         buffer_id = override_it->second;
       }
-      auto client = std::make_unique<ExchangeClient>(
-          &task_ctx_, buffer_id, apis_.fetch_pages, apis_.fetch_pages_deferred);
+      auto client = std::make_unique<ExchangeClient>(&task_ctx_, buffer_id,
+                                                     apis_.fetch_pages);
       it = exchange_clients_.emplace(source_stage_id, std::move(client)).first;
     }
     return it->second.get();
@@ -272,8 +273,10 @@ TaskInfo Task::Info() {
   info.spill_bytes_written = task_ctx_.spill_bytes_written();
   info.spill_partitions = task_ctx_.spill_partitions();
   info.probe_path = task_ctx_.probe_path();
-  info.cpu_utilization = task_ctx_.cpu()->Utilization();
-  info.nic_utilization = task_ctx_.nic()->Utilization();
+  if (const Pacer* pacer = task_ctx_.pacer()) {
+    info.cpu_utilization = pacer->cpu().Utilization();
+    info.nic_utilization = pacer->nic().Utilization();
+  }
   info.has_join = !join_bridges_.empty();
   info.hash_tables_built = info.has_join;
   for (const auto& [id, bridge] : join_bridges_) {

@@ -38,14 +38,11 @@ struct TaskSpec {
 };
 
 /// Worker-provided callbacks: split feed (coordinator split queue), split
-/// opening (storage + NIC charging) and page fetching (RPC).
+/// opening (storage) and page fetching (RPC).
 struct TaskApis {
   NextSplitFn next_split;
   OpenSplitFn open_split;
   FetchPagesFn fetch_pages;
-  /// Optional non-blocking variant (see FetchPagesDeferredFn); when set,
-  /// exchange clients prefer it and yield instead of sleeping latency.
-  FetchPagesDeferredFn fetch_pages_deferred;
 };
 
 /// The smallest unit of distributed execution (paper §2). Owns its
@@ -62,8 +59,8 @@ struct TaskApis {
 ///    protocol for task teardown.
 class Task {
  public:
-  Task(TaskSpec spec, TaskApis apis, ResourceGovernor* cpu,
-       ResourceGovernor* nic, const EngineConfig* config);
+  Task(TaskSpec spec, TaskApis apis, const EngineConfig* config,
+       Pacer* pacer = nullptr);
   ~Task();
 
   Task(const Task&) = delete;

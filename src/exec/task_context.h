@@ -6,32 +6,31 @@
 #include <mutex>
 #include <string>
 
-#include "common/resource_governor.h"
 #include "common/status.h"
 #include "exec/config.h"
 
 namespace accordion {
 
 class MorselScheduler;
+class Pacer;
 
-/// Shared, thread-safe per-task runtime state: resource governors of the
-/// hosting worker, engine config, and the metric counters that the
-/// coordinator's runtime information collector reads (paper Fig. 18:
-/// "drivers informations, CPU usage, NIC usage, buffer informations").
+/// Shared, thread-safe per-task runtime state: the hosting worker's Pacer,
+/// engine config, and the metric counters that the coordinator's runtime
+/// information collector reads (paper Fig. 18: "drivers informations, CPU
+/// usage, NIC usage, buffer informations").
 class TaskContext {
  public:
-  TaskContext(std::string task_id, ResourceGovernor* cpu,
-              ResourceGovernor* nic, const EngineConfig* config)
+  TaskContext(std::string task_id, const EngineConfig* config,
+              Pacer* pacer = nullptr)
       : task_id_(std::move(task_id)),
         scheduler_group_(task_id_),
-        cpu_(cpu),
-        nic_(nic),
-        config_(config) {}
+        config_(config),
+        pacer_(pacer) {}
 
   const std::string& task_id() const { return task_id_; }
   const EngineConfig& config() const { return *config_; }
-  ResourceGovernor* cpu() { return cpu_; }
-  ResourceGovernor* nic() { return nic_; }
+  /// The hosting node's simulated CPU and NIC; null in real mode.
+  Pacer* pacer() const { return pacer_; }
 
   /// The shared CPU pool this task's units run on (config's scheduler or
   /// the process default). Defined in scheduler.cc.
@@ -43,13 +42,6 @@ class TaskContext {
   const std::string& scheduler_group() const { return scheduler_group_; }
   void set_scheduler_group(std::string group) {
     scheduler_group_ = std::move(group);
-  }
-
-  /// Reserves virtual CPU microseconds against the node; returns the
-  /// absolute grant time. Drivers combine this with their own single-core
-  /// pacing (see Driver::Charge).
-  int64_t ReserveCpuMicros(double virtual_us) {
-    return cpu_->ReserveMicros(virtual_us * 1e-6);
   }
 
   // --- memory accounting (join build sides) ---
@@ -128,9 +120,8 @@ class TaskContext {
  private:
   std::string task_id_;
   std::string scheduler_group_;
-  ResourceGovernor* cpu_;
-  ResourceGovernor* nic_;
   const EngineConfig* config_;
+  Pacer* pacer_;
 
   int64_t build_budget_bytes_ = 0;
   std::atomic<int64_t> build_bytes_{0};

@@ -62,7 +62,8 @@ struct TaskInfo {
   bool has_join = false;
   bool hash_tables_built = false;
 
-  /// Node-level utilizations at snapshot time (for n_f capping, §5.3).
+  /// Node-level utilizations at snapshot time (for n_f capping, §5.3),
+  /// read from the node's Pacer; 0 in real mode.
   double cpu_utilization = 0;
   double nic_utilization = 0;
 

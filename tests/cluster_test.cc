@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "api/session.h"
 #include "cluster/cluster.h"
 #include "common/clock.h"
 #include "plan/builder.h"
@@ -19,6 +22,38 @@ AccordionCluster::Options FastOptions() {
   options.engine.cost.scale = 0;    // no simulated compute time
   options.engine.rpc_latency_ms = 0;  // no simulated network latency
   return options;
+}
+
+/// Two workers and two storage nodes: the shape of the Pacer tests.
+AccordionCluster::Options SmallOptions() {
+  AccordionCluster::Options options = FastOptions();
+  options.num_workers = 2;
+  options.num_storage_nodes = 2;
+  return options;
+}
+
+/// Runs TPC-H Q6 from its SQL text, waiting up to `timeout_ms`; a query
+/// still running at the deadline is aborted.
+Result<std::vector<PagePtr>> RunQ6(AccordionCluster* cluster,
+                                   int64_t timeout_ms) {
+  Session session(cluster->coordinator());
+  auto query = session.Execute(TpchQuerySql(6));
+  if (!query.ok()) return query.status();
+  auto result = (*query)->Wait(timeout_ms);
+  if (!result.ok()) (void)(*query)->Abort();
+  return result;
+}
+
+/// Q6's single revenue cell.
+double Q6Revenue(const std::vector<PagePtr>& pages) {
+  std::vector<double> cells;
+  for (const auto& p : pages) {
+    for (int64_t r = 0; r < p->num_rows(); ++r) {
+      cells.push_back(p->column(0).NumericAt(r));
+    }
+  }
+  EXPECT_EQ(cells.size(), 1u);
+  return cells.empty() ? -1 : cells[0];
 }
 
 int64_t ExactLineitemRows(double sf) {
@@ -234,6 +269,53 @@ TEST(ClusterTest, RealModeCountsProcessedRowsPerStage) {
     EXPECT_GT(stage.processed_rows, 0) << "stage " << stage.stage_id;
   }
   EXPECT_GT(moving_stages, 1);
+}
+
+TEST(ClusterTest, RealModeIgnoresSimulatedNics) {
+  // cost.scale = 0 builds no Pacer, so NodeConfig is ignored: NICs this
+  // slow would keep Q6's scan running far past the deadline.
+  AccordionCluster reference(SmallOptions());
+  auto expected = RunQ6(&reference, 60000);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  AccordionCluster::Options options = SmallOptions();
+  options.worker_node.nic_bytes_per_sec = 256 * 1024;
+  options.worker_node.nic_burst_bytes = 64 * 1024;
+  options.storage_node = options.worker_node;
+  AccordionCluster cluster(options);
+  for (int w = 0; w < cluster.num_workers(); ++w) {
+    EXPECT_EQ(cluster.worker(w)->pacer(), nullptr);
+  }
+  for (int n = 0; n < cluster.storage()->num_nodes(); ++n) {
+    EXPECT_EQ(cluster.storage()->pacer(n), nullptr);
+  }
+  auto result = RunQ6(&cluster, 10000);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  double want = Q6Revenue(*expected);
+  EXPECT_NEAR(Q6Revenue(*result), want, 1e-9 * std::abs(want));
+}
+
+TEST(ClusterTest, SimulatedModeChargesCpuAndNics) {
+  AccordionCluster::Options options = SmallOptions();
+  options.engine.cost.scale = 0.01;
+  AccordionCluster cluster(options);
+  auto result = RunQ6(&cluster, 60000);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  double storage_nic = 0, worker_nic = 0, worker_cpu = 0;
+  for (int n = 0; n < cluster.storage()->num_nodes(); ++n) {
+    ASSERT_NE(cluster.storage()->pacer(n), nullptr);
+    storage_nic += cluster.storage()->pacer(n)->nic().TotalConsumed();
+  }
+  for (int w = 0; w < cluster.num_workers(); ++w) {
+    const Pacer* pacer = cluster.worker(w)->pacer();
+    ASSERT_NE(pacer, nullptr);
+    worker_nic += pacer->nic().TotalConsumed();
+    worker_cpu += pacer->cpu().TotalConsumed();
+  }
+  EXPECT_GT(storage_nic, 0);
+  EXPECT_GT(worker_nic, 0);
+  EXPECT_GT(worker_cpu, 0);
 }
 
 TEST(ClusterTest, BroadcastJoinStageScalesWithGenericPath) {

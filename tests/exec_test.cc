@@ -7,6 +7,7 @@
 
 #include "common/clock.h"
 #include "exec/exchange_client.h"
+#include "exec/pacer.h"
 #include "exec/task.h"
 #include "plan/builder.h"
 #include "plan/fragment.h"
@@ -15,11 +16,9 @@
 namespace accordion {
 namespace {
 
-/// Test cluster stand-in: governors generous enough not to throttle.
+/// Test cluster stand-in: real mode (no Pacer) unless a test builds one.
 struct TestEnv {
   EngineConfig config;
-  ResourceGovernor cpu{"test.cpu", 1e9, 1e9};
-  ResourceGovernor nic{"test.nic", 1e12, 1e12};
 
   TestEnv() {
     config.cost.scale = 0;  // no simulated delays in unit tests
@@ -34,8 +33,8 @@ struct TestEnv {
           split.table, split.scale_factor, split.split_index,
           split.split_count, 256);
     };
-    apis.fetch_pages = [](const RemoteSplit&, int, int64_t,
-                          int) -> Result<PagesResult> {
+    apis.fetch_pages = [](const RemoteSplit&, int, int64_t, int,
+                          int64_t*) -> Result<PagesResult> {
       return PagesResult{{}, true};
     };
     return apis;
@@ -89,7 +88,7 @@ TEST(TaskTest, ValuesThroughFilterProducesFilteredRows) {
   rel = b.Filter(rel, Gt(rel.Ref("x"), LitInt(3)));
   TaskSpec spec = SpecFor(b.Output(rel), "q_filter");
 
-  Task task(spec, env.ApisFor(), &env.cpu, &env.nic, &env.config);
+  Task task(spec, env.ApisFor(), &env.config);
   task.Start();
   auto pages = DrainTask(&task);
   EXPECT_EQ(TotalRows(pages), 3);
@@ -115,7 +114,7 @@ TEST(TaskTest, ScanCountsRows) {
     return splits[cursor++];
   };
 
-  Task task(spec, apis, &env.cpu, &env.nic, &env.config);
+  Task task(spec, apis, &env.config);
   task.Start();
   auto pages = DrainTask(&task);
   EXPECT_EQ(TotalRows(pages), 750);  // half of 1500 customers
@@ -168,7 +167,7 @@ TEST(TaskTest, GlobalCountAcrossTwoWiredTasks) {
     split_given = true;
     return SystemSplit{"customer", 0, 1, 0, 0.01};
   };
-  Task child(child_spec, child_apis, &env.cpu, &env.nic, &env.config);
+  Task child(child_spec, child_apis, &env.config);
 
   // Parent task (stage 0) fetches from the child directly.
   TaskSpec parent_spec;
@@ -179,12 +178,12 @@ TEST(TaskTest, GlobalCountAcrossTwoWiredTasks) {
   parent_spec.remote_splits[1] = {RemoteSplit{0, child_spec.id}};
 
   TaskApis parent_apis = env.ApisFor();
-  parent_apis.fetch_pages = [&](const RemoteSplit& split, int buffer_id,
-                                int64_t start_sequence,
-                                int max_pages) -> Result<PagesResult> {
+  parent_apis.fetch_pages = [&](const RemoteSplit&, int buffer_id,
+                                int64_t start_sequence, int max_pages,
+                                int64_t*) -> Result<PagesResult> {
     return child.GetPages(buffer_id, start_sequence, max_pages);
   };
-  Task parent(parent_spec, parent_apis, &env.cpu, &env.nic, &env.config);
+  Task parent(parent_spec, parent_apis, &env.config);
 
   child.Start();
   parent.Start();
@@ -214,7 +213,7 @@ TEST(TaskTest, JoinInsideTaskViaBridgeAndLocalExchange) {
   probe_spec.output_config.partitioning = fragments[1].output_partitioning;
   probe_spec.output_config.keys = fragments[1].output_keys;
   probe_spec.output_config.initial_consumers = 1;
-  Task probe_task(probe_spec, env.ApisFor(), &env.cpu, &env.nic, &env.config);
+  Task probe_task(probe_spec, env.ApisFor(), &env.config);
 
   TaskSpec build_spec;
   build_spec.id = TaskId{"q_join", 2, 0};
@@ -222,7 +221,7 @@ TEST(TaskTest, JoinInsideTaskViaBridgeAndLocalExchange) {
   build_spec.output_config.partitioning = fragments[2].output_partitioning;
   build_spec.output_config.keys = fragments[2].output_keys;
   build_spec.output_config.initial_consumers = 1;
-  Task build_task(build_spec, env.ApisFor(), &env.cpu, &env.nic, &env.config);
+  Task build_task(build_spec, env.ApisFor(), &env.config);
 
   TaskSpec join_spec;
   join_spec.id = TaskId{"q_join", 0, 0};
@@ -234,12 +233,12 @@ TEST(TaskTest, JoinInsideTaskViaBridgeAndLocalExchange) {
 
   TaskApis join_apis = env.ApisFor();
   join_apis.fetch_pages = [&](const RemoteSplit& split, int buffer_id,
-                              int64_t start_sequence,
-                              int max_pages) -> Result<PagesResult> {
+                              int64_t start_sequence, int max_pages,
+                              int64_t*) -> Result<PagesResult> {
     Task* source = split.task.stage_id == 1 ? &probe_task : &build_task;
     return source->GetPages(buffer_id, start_sequence, max_pages);
   };
-  Task join_task(join_spec, join_apis, &env.cpu, &env.nic, &env.config);
+  Task join_task(join_spec, join_apis, &env.config);
 
   probe_task.Start();
   build_task.Start();
@@ -256,6 +255,7 @@ TEST(TaskTest, JoinInsideTaskViaBridgeAndLocalExchange) {
 TEST(TaskTest, IntraTaskDopIncreaseAddsDrivers) {
   TestEnv env;
   env.config.cost.scale = 0.002;  // slow enough to observe mid-flight
+  Pacer pacer("test", NodeConfig{}, env.config.cost);
   Catalog catalog = MakeTpchCatalog(0.05, 1);
   PlanBuilder b(&catalog);
   auto rel = b.Scan("orders", {"o_orderkey"});
@@ -271,7 +271,7 @@ TEST(TaskTest, IntraTaskDopIncreaseAddsDrivers) {
     return SystemSplit{"orders", cursor++, 16, 0, 0.05};
   };
 
-  Task task(spec, apis, &env.cpu, &env.nic, &env.config);
+  Task task(spec, apis, &env.config, &pacer);
   task.Start();
   SleepForMillis(50);
   TaskInfo before = task.Info();
@@ -287,6 +287,7 @@ TEST(TaskTest, IntraTaskDopIncreaseAddsDrivers) {
 TEST(TaskTest, IntraTaskDopDecreaseRetiresDrivers) {
   TestEnv env;
   env.config.cost.scale = 0.002;
+  Pacer pacer("test", NodeConfig{}, env.config.cost);
   Catalog catalog = MakeTpchCatalog(0.05, 1);
   PlanBuilder b(&catalog);
   auto rel = b.Scan("orders", {"o_orderkey"});
@@ -302,7 +303,7 @@ TEST(TaskTest, IntraTaskDopDecreaseRetiresDrivers) {
     return SystemSplit{"orders", cursor++, 16, 0, 0.05};
   };
 
-  Task task(spec, apis, &env.cpu, &env.nic, &env.config);
+  Task task(spec, apis, &env.config, &pacer);
   task.Start();
   SleepForMillis(50);
   EXPECT_EQ(task.Info().task_dop, 4);
@@ -326,7 +327,7 @@ TEST(TaskTest, FinalAggPipelineRejectsDopChange) {
   spec.fragment = fragments[0];  // final aggregation stage
   spec.output_config.initial_consumers = 1;
   spec.remote_splits[1] = {RemoteSplit{0, TaskId{"q_final", 1, 0}}};
-  Task task(spec, env.ApisFor(), &env.cpu, &env.nic, &env.config);
+  Task task(spec, env.ApisFor(), &env.config);
   task.Start();
   Status st = task.SetDop(3);
   EXPECT_FALSE(st.ok());
@@ -337,6 +338,7 @@ TEST(TaskTest, FinalAggPipelineRejectsDopChange) {
 TEST(TaskTest, EndSignalClosesTaskBottomUp) {
   TestEnv env;
   env.config.cost.scale = 0.002;
+  Pacer pacer("test", NodeConfig{}, env.config.cost);
   Catalog catalog = MakeTpchCatalog(0.05, 1);
   PlanBuilder b(&catalog);
   auto rel = b.Scan("orders", {"o_orderkey"});
@@ -351,7 +353,7 @@ TEST(TaskTest, EndSignalClosesTaskBottomUp) {
     return SystemSplit{"orders", cursor++, 32, 0, 0.05};
   };
 
-  Task task(spec, apis, &env.cpu, &env.nic, &env.config);
+  Task task(spec, apis, &env.config, &pacer);
   task.Start();
   SleepForMillis(30);
   task.SignalEndSources();
@@ -363,7 +365,7 @@ TEST(TaskTest, EndSignalClosesTaskBottomUp) {
 
 TEST(OutputBufferTest, SharedBufferDistributesArbitrarily) {
   TestEnv env;
-  TaskContext ctx("t", &env.cpu, &env.nic, &env.config);
+  TaskContext ctx("t", &env.config);
   OutputBufferConfig cfg;
   cfg.partitioning = Partitioning::kArbitrary;
   cfg.initial_consumers = 2;
@@ -384,7 +386,7 @@ TEST(OutputBufferTest, SharedBufferDistributesArbitrarily) {
 
 TEST(OutputBufferTest, BroadcastDeliversEverythingToEveryone) {
   TestEnv env;
-  TaskContext ctx("t", &env.cpu, &env.nic, &env.config);
+  TaskContext ctx("t", &env.config);
   OutputBufferConfig cfg;
   cfg.partitioning = Partitioning::kBroadcast;
   cfg.initial_consumers = 2;
@@ -407,7 +409,7 @@ TEST(OutputBufferTest, BroadcastDeliversEverythingToEveryone) {
 
 TEST(OutputBufferTest, ShuffleBufferPartitionsByHashConsistently) {
   TestEnv env;
-  TaskContext ctx("t", &env.cpu, &env.nic, &env.config);
+  TaskContext ctx("t", &env.config);
   OutputBufferConfig cfg;
   cfg.partitioning = Partitioning::kHash;
   cfg.keys = {0};
@@ -439,7 +441,7 @@ TEST(OutputBufferTest, ShuffleBufferPartitionsByHashConsistently) {
 
 TEST(OutputBufferTest, ShuffleBufferTaskGroupReplaysCache) {
   TestEnv env;
-  TaskContext ctx("t", &env.cpu, &env.nic, &env.config);
+  TaskContext ctx("t", &env.config);
   OutputBufferConfig cfg;
   cfg.partitioning = Partitioning::kHash;
   cfg.keys = {0};
@@ -490,7 +492,7 @@ TEST(OutputBufferTest, ShuffleBufferTaskGroupReplaysCache) {
 
 TEST(OutputBufferTest, ShuffleSwitchRoutesExactlyOnce) {
   TestEnv env;
-  TaskContext ctx("t", &env.cpu, &env.nic, &env.config);
+  TaskContext ctx("t", &env.config);
   OutputBufferConfig cfg;
   cfg.partitioning = Partitioning::kHash;
   cfg.keys = {0};
@@ -527,10 +529,11 @@ TEST(OutputBufferTest, ShuffleSwitchRoutesExactlyOnce) {
 
 TEST(ExchangeClientTest, DestructorWithoutStartIsSafe) {
   TestEnv env;
-  TaskContext ctx("t", &env.cpu, &env.nic, &env.config);
+  TaskContext ctx("t", &env.config);
   ExchangeClient client(
       &ctx, 0,
-      [](const RemoteSplit&, int, int64_t, int) -> Result<PagesResult> {
+      [](const RemoteSplit&, int, int64_t, int,
+         int64_t*) -> Result<PagesResult> {
         return PagesResult{{}, true};
       });
   client.AddRemoteSplit(RemoteSplit{0, TaskId{"q", 1, 0}});
@@ -540,10 +543,11 @@ TEST(ExchangeClientTest, DestructorWithoutStartIsSafe) {
 
 TEST(ExchangeClientTest, VanishedUpstreamFailsTaskInsteadOfCompleting) {
   TestEnv env;
-  TaskContext ctx("t", &env.cpu, &env.nic, &env.config);
+  TaskContext ctx("t", &env.config);
   ExchangeClient client(
       &ctx, 0,
-      [](const RemoteSplit&, int, int64_t, int) -> Result<PagesResult> {
+      [](const RemoteSplit&, int, int64_t, int,
+         int64_t*) -> Result<PagesResult> {
         // Non-retryable: the upstream task is gone for good.
         return Status::NotFound("no task q.1.0");
       });
@@ -561,11 +565,12 @@ TEST(ExchangeClientTest, VanishedUpstreamFailsTaskInsteadOfCompleting) {
 
 TEST(ExchangeClientTest, RetryExhaustionReportsContextfulFailure) {
   TestEnv env;
-  TaskContext ctx("t", &env.cpu, &env.nic, &env.config);
+  TaskContext ctx("t", &env.config);
   std::atomic<int> calls{0};
   ExchangeClient client(
       &ctx, 0,
-      [&](const RemoteSplit&, int, int64_t, int) -> Result<PagesResult> {
+      [&](const RemoteSplit&, int, int64_t, int,
+          int64_t*) -> Result<PagesResult> {
         ++calls;
         return Status::Unavailable("injected outage");
       });
@@ -585,14 +590,14 @@ TEST(ExchangeClientTest, RetryExhaustionReportsContextfulFailure) {
 
 TEST(ExchangeClientTest, TransientBlipResumesAtSameSequence) {
   TestEnv env;
-  TaskContext ctx("t", &env.cpu, &env.nic, &env.config);
+  TaskContext ctx("t", &env.config);
   std::mutex seq_mutex;
   std::vector<int64_t> sequences;
   std::atomic<int> calls{0};
   ExchangeClient client(
       &ctx, 0,
-      [&](const RemoteSplit&, int, int64_t start_sequence,
-          int) -> Result<PagesResult> {
+      [&](const RemoteSplit&, int, int64_t start_sequence, int,
+          int64_t*) -> Result<PagesResult> {
         int n = ++calls;
         {
           std::lock_guard<std::mutex> lock(seq_mutex);
@@ -631,7 +636,7 @@ TEST(ExchangeClientTest, TransientBlipResumesAtSameSequence) {
 
 TEST(ElasticCapacityTest, GrowsOnEmptyAndCounts) {
   TestEnv env;
-  TaskContext ctx("t", &env.cpu, &env.nic, &env.config);
+  TaskContext ctx("t", &env.config);
   ElasticCapacity cap(&env.config, &ctx);
   int64_t initial = cap.capacity_bytes();
   cap.OnEmptyPop();
@@ -643,7 +648,7 @@ TEST(ElasticCapacityTest, GrowsOnEmptyAndCounts) {
 TEST(ElasticCapacityTest, FixedModeNeverResizes) {
   TestEnv env;
   env.config.elastic_buffers = false;
-  TaskContext ctx("t", &env.cpu, &env.nic, &env.config);
+  TaskContext ctx("t", &env.config);
   ElasticCapacity cap(&env.config, &ctx);
   EXPECT_EQ(cap.capacity_bytes(), env.config.memory.fixed_buffer_bytes);
   cap.OnEmptyPop();

@@ -14,9 +14,7 @@ namespace {
 
 struct OpEnv {
   EngineConfig config;
-  ResourceGovernor cpu{"op.cpu", 1e9, 1e9};
-  ResourceGovernor nic{"op.nic", 1e12, 1e12};
-  TaskContext ctx{"op", &cpu, &nic, &config};
+  TaskContext ctx{"op", &config};
 };
 
 PagePtr IntsPage(std::vector<int64_t> values) {

@@ -70,9 +70,7 @@ class ShufflePropertyTest : public ::testing::TestWithParam<int> {};
 TEST_P(ShufflePropertyTest, PartitionIsExactlyOnceAndPlacedByHash) {
   int consumers = GetParam();
   EngineConfig config;
-  ResourceGovernor cpu("p.cpu", 1e9, 1e9);
-  ResourceGovernor nic("p.nic", 1e12, 1e12);
-  TaskContext ctx("p", &cpu, &nic, &config);
+  TaskContext ctx("p", &config);
 
   OutputBufferConfig cfg;
   cfg.partitioning = Partitioning::kHash;

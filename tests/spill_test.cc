@@ -146,11 +146,9 @@ struct BridgeEnv {
     config.memory.query_build_bytes = build_budget_bytes;
     Status s = config.Normalize();
     EXPECT_TRUE(s.ok()) << s.ToString();
-    ctx = std::make_unique<TaskContext>("spill-test", &cpu, &nic, &config);
+    ctx = std::make_unique<TaskContext>("spill-test", &config);
   }
   EngineConfig config;
-  ResourceGovernor cpu{"spill.cpu", 1e9, 1e9};
-  ResourceGovernor nic{"spill.nic", 1e12, 1e12};
   std::unique_ptr<TaskContext> ctx;
 };
 
@@ -413,6 +411,32 @@ TEST(MemoryConfigTest, RejectsNonsensicalCombinations) {
     EngineConfig config;
     config.join.max_spill_recursion = 0;
     EXPECT_EQ(config.Normalize().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    EngineConfig config;
+    config.cost.scale = -1;
+    EXPECT_EQ(config.Normalize().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    EngineConfig config;
+    config.cost.shuffle_executor_us = -0.5;
+    EXPECT_EQ(config.Normalize().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    EngineConfig config;
+    config.cost.scan_us = -30;
+    EXPECT_EQ(config.Normalize().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    EngineConfig config;
+    config.rpc_latency_ms = -1;
+    EXPECT_EQ(config.Normalize().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    EngineConfig config;  // real mode is valid
+    config.cost.scale = 0;
+    config.rpc_latency_ms = 0;
+    EXPECT_TRUE(config.Normalize().ok());
   }
 }
 
