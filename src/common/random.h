@@ -30,12 +30,21 @@ class Random {
     return static_cast<double>(NextUint64() >> 11) * (1.0 / 9007199254740992.0);
   }
 
+  /// Writes `len` random lowercase characters to `out`, one draw each.
+  void FillString(char* out, int len) {
+    // Draws from a copy: `out` may alias anything, so drawing from *this
+    // would reload and store the state around every character.
+    Random rng = *this;
+    for (int i = 0; i < len; ++i) {
+      out[i] = static_cast<char>('a' + rng.NextInt(0, 25));
+    }
+    *this = rng;
+  }
+
   /// Random lowercase string of exactly `len` characters.
   std::string NextString(int len) {
     std::string s(len, 'a');
-    for (int i = 0; i < len; ++i) {
-      s[i] = static_cast<char>('a' + NextInt(0, 25));
-    }
+    FillString(s.data(), len);
     return s;
   }
 

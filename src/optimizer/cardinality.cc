@@ -18,8 +18,16 @@ double Clamp(double s) {
   return std::min(1.0, std::max(kMinSelectivity, s));
 }
 
+/// 'YYYY-MM-DD' text to a DATE Value; false when it is not a valid date.
+bool DateOf(const std::string& text, Value* out) {
+  const int64_t days = ParseDate(text);
+  if (days == kInvalidDate) return false;
+  *out = Value::Date(days);
+  return true;
+}
+
 /// Literal (or bound parameter) to a Value coerced toward `target`;
-/// false when the node is not a literal.
+/// false when the node is not a literal or not a valid date.
 bool LiteralOf(const SqlExpr& expr, DataType target, Value* out) {
   switch (expr.kind) {
     case SqlExpr::Kind::kIntLiteral:
@@ -31,18 +39,18 @@ bool LiteralOf(const SqlExpr& expr, DataType target, Value* out) {
       *out = Value::Double(std::atof(expr.text.c_str()));
       return true;
     case SqlExpr::Kind::kStringLiteral:
-      *out = target == DataType::kDate ? Value::Date(ParseDate(expr.text))
-                                       : Value::Str(expr.text);
+      if (target == DataType::kDate) return DateOf(expr.text, out);
+      *out = Value::Str(expr.text);
       return true;
     case SqlExpr::Kind::kDateLiteral:
-      *out = Value::Date(ParseDate(expr.text));
-      return true;
+      return DateOf(expr.text, out);
     case SqlExpr::Kind::kBoundValue: {
       Value v = expr.bound_value;
+      if (target == DataType::kDate && v.type == DataType::kString) {
+        return DateOf(v.str, out);
+      }
       if (target == DataType::kDouble && v.type == DataType::kInt64) {
         v = Value::Double(static_cast<double>(v.i64));
-      } else if (target == DataType::kDate && v.type == DataType::kString) {
-        v = Value::Date(ParseDate(v.str));
       }
       *out = std::move(v);
       return true;

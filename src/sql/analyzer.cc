@@ -130,6 +130,17 @@ Status CheckBinaryTypes(const std::string& op, DataType left, DataType right) {
   return Status::OK();
 }
 
+/// The DATE value of a DATE literal, a string coerced to a date or a bound
+/// string parameter; kInvalidArgument unless it is a valid 'YYYY-MM-DD'.
+Result<Value> DateValue(const std::string& text) {
+  const int64_t days = ParseDate(text);
+  if (days == kInvalidDate) {
+    return Status::InvalidArgument("invalid DATE '" + text +
+                                   "': expected a valid YYYY-MM-DD date");
+  }
+  return Value::Date(days);
+}
+
 class Analyzer {
  public:
   /// `select_list_matters` is false for EXISTS subqueries, whose select
@@ -1373,8 +1384,10 @@ class Analyzer {
         return LitDouble(std::atof(expr->text.c_str()));
       case SqlExpr::Kind::kStringLiteral:
         return LitStr(expr->text);
-      case SqlExpr::Kind::kDateLiteral:
-        return LitDate(expr->text);
+      case SqlExpr::Kind::kDateLiteral: {
+        ACCORDION_ASSIGN_OR_RETURN(Value date, DateValue(expr->text));
+        return Lit(std::move(date));
+      }
       case SqlExpr::Kind::kBinary: {
         // A bare NULL operand borrows the other side's type (`x = NULL`
         // is well-typed and constantly NULL under 3VL).
@@ -1407,14 +1420,16 @@ class Analyzer {
           right = Lit(Value::Null(left->type()));
         } else if (const std::string* iso = date_literal(expr->children[1]);
                    left->type() == DataType::kDate && iso != nullptr) {
-          right = LitDate(*iso);
+          ACCORDION_ASSIGN_OR_RETURN(Value date, DateValue(*iso));
+          right = Lit(std::move(date));
         } else if (right == nullptr) {
           ACCORDION_ASSIGN_OR_RETURN(right, Lower(expr->children[1], rel));
         }
         // And the mirrored form: '1995-03-15' < date_col.
         if (const std::string* iso = date_literal(expr->children[0]);
             !left_null && right->type() == DataType::kDate && iso != nullptr) {
-          left = LitDate(*iso);
+          ACCORDION_ASSIGN_OR_RETURN(Value date, DateValue(*iso));
+          left = Lit(std::move(date));
         }
         const std::string& op = expr->text;
         ACCORDION_RETURN_NOT_OK(
@@ -1564,19 +1579,17 @@ class Analyzer {
       case SqlExpr::Kind::kDecimalLiteral:
         return Value::Double(std::atof(expr->text.c_str()));
       case SqlExpr::Kind::kStringLiteral:
-        if (target == DataType::kDate) {
-          return Value::Date(ParseDate(expr->text));
-        }
+        if (target == DataType::kDate) return DateValue(expr->text);
         return Value::Str(expr->text);
       case SqlExpr::Kind::kDateLiteral:
-        return Value::Date(ParseDate(expr->text));
+        return DateValue(expr->text);
       case SqlExpr::Kind::kBoundValue: {
         Value v = expr->bound_value;
         if (target == DataType::kDouble && v.type == DataType::kInt64) {
           return Value::Double(static_cast<double>(v.i64));
         }
         if (target == DataType::kDate && v.type == DataType::kString) {
-          return Value::Date(ParseDate(v.str));
+          return DateValue(v.str);
         }
         return v;
       }

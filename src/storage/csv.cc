@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <limits>
 
 #include "common/logging.h"
 #include "optimizer/stats.h"
@@ -138,7 +137,7 @@ PagePtr CsvPageSource::Next() {
           break;
         case DataType::kDate: {
           int64_t days = ParseDate(fields[c]);
-          if (days == std::numeric_limits<int64_t>::min()) {
+          if (days == kInvalidDate) {
             status_ = Status::ParseError("bad date '" + fields[c] + "'");
             return nullptr;
           }

@@ -1,7 +1,11 @@
 #include "tpch/tpch.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstring>
+#include <string_view>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/random.h"
@@ -17,33 +21,38 @@ constexpr int64_t kSuppliersPerSf = 10000;
 constexpr int64_t kPartsPerSf = 200000;
 constexpr int64_t kPartsuppPerSf = 800000;
 
-const char* kNationNames[25] = {
+constexpr std::string_view kNationNames[25] = {
     "ALGERIA", "ARGENTINA", "BRAZIL", "CANADA", "EGYPT", "ETHIOPIA", "FRANCE",
     "GERMANY", "INDIA", "INDONESIA", "IRAN", "IRAQ", "JAPAN", "JORDAN",
     "KENYA", "MOROCCO", "MOZAMBIQUE", "PERU", "CHINA", "ROMANIA",
     "SAUDI ARABIA", "VIETNAM", "RUSSIA", "UNITED KINGDOM", "UNITED STATES"};
-const int kNationRegion[25] = {0, 1, 1, 1, 4, 0, 3, 3, 2, 2, 4, 4, 2,
-                               4, 0, 0, 0, 1, 2, 3, 4, 2, 3, 3, 1};
-const char* kRegionNames[5] = {"AFRICA", "AMERICA", "ASIA", "EUROPE",
-                               "MIDDLE EAST"};
-const char* kSegments[5] = {"AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD",
-                            "MACHINERY"};
-const char* kPriorities[5] = {"1-URGENT", "2-HIGH", "3-MEDIUM",
-                              "4-NOT SPECIFIED", "5-LOW"};
-const char* kShipModes[7] = {"REG AIR", "AIR", "RAIL", "SHIP", "TRUCK",
-                             "MAIL", "FOB"};
-const char* kShipInstructs[4] = {"DELIVER IN PERSON", "COLLECT COD", "NONE",
-                                 "TAKE BACK RETURN"};
-const char* kContainers[8] = {"SM CASE", "SM BOX", "MED BAG", "MED BOX",
-                              "LG CASE", "LG BOX", "JUMBO PACK", "WRAP JAR"};
-const char* kTypes[6] = {"STANDARD ANODIZED", "SMALL PLATED", "MEDIUM BRUSHED",
-                         "ECONOMY BURNISHED", "LARGE POLISHED",
-                         "PROMO ANODIZED"};
-const char* kMaterials[5] = {"TIN", "NICKEL", "BRASS", "STEEL", "COPPER"};
+constexpr int kNationRegion[25] = {0, 1, 1, 1, 4, 0, 3, 3, 2, 2, 4, 4, 2,
+                                   4, 0, 0, 0, 1, 2, 3, 4, 2, 3, 3, 1};
+constexpr std::string_view kRegionNames[5] = {"AFRICA", "AMERICA", "ASIA",
+                                              "EUROPE", "MIDDLE EAST"};
+constexpr std::string_view kSegments[5] = {"AUTOMOBILE", "BUILDING",
+                                           "FURNITURE", "HOUSEHOLD",
+                                           "MACHINERY"};
+constexpr std::string_view kPriorities[5] = {"1-URGENT", "2-HIGH", "3-MEDIUM",
+                                             "4-NOT SPECIFIED", "5-LOW"};
+constexpr std::string_view kShipModes[7] = {"REG AIR", "AIR",  "RAIL", "SHIP",
+                                            "TRUCK",   "MAIL", "FOB"};
+constexpr std::string_view kShipInstructs[4] = {
+    "DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"};
+constexpr std::string_view kContainers[8] = {
+    "SM CASE", "SM BOX", "MED BAG",    "MED BOX",
+    "LG CASE", "LG BOX", "JUMBO PACK", "WRAP JAR"};
+constexpr std::string_view kTypes[6] = {
+    "STANDARD ANODIZED", "SMALL PLATED",   "MEDIUM BRUSHED",
+    "ECONOMY BURNISHED", "LARGE POLISHED", "PROMO ANODIZED"};
+constexpr std::string_view kMaterials[5] = {"TIN", "NICKEL", "BRASS", "STEEL",
+                                            "COPPER"};
 
-// Order-date window from the TPC-H spec.
+// Order-date window from the TPC-H spec, and the "current date" that
+// splits shipped from open lines.
 const int64_t kStartDate = ParseDate("1992-01-01");
 const int64_t kEndDate = ParseDate("1998-08-02");
+const int64_t kCurrentDate = ParseDate("1995-06-17");
 
 uint64_t Splitmix(uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -52,15 +61,31 @@ uint64_t Splitmix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-uint64_t TableSeed(const std::string& table) {
+constexpr uint64_t TableSeed(std::string_view table) {
   uint64_t h = 1469598103934665603ULL;
-  for (char c : table) h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+  for (char c : table) {
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+  }
   return h;
 }
 
+constexpr uint64_t kNationSeed = TableSeed("nation");
+constexpr uint64_t kRegionSeed = TableSeed("region");
+constexpr uint64_t kSupplierSeed = TableSeed("supplier");
+constexpr uint64_t kPartSeed = TableSeed("part");
+constexpr uint64_t kPartsuppSeed = TableSeed("partsupp");
+constexpr uint64_t kCustomerSeed = TableSeed("customer");
+constexpr uint64_t kOrdersSeed = TableSeed("orders");
+constexpr uint64_t kLineitemSeed = TableSeed("lineitem");
+
 /// Per-row deterministic RNG: generation order never affects values.
-Random RowRng(const std::string& table, int64_t row) {
-  return Random(Splitmix(TableSeed(table) ^ static_cast<uint64_t>(row)));
+Random RowRng(uint64_t table_seed, int64_t row) {
+  return Random(Splitmix(table_seed ^ static_cast<uint64_t>(row)));
+}
+
+/// First draw of an order row's RNG; lineitem re-derives it per order.
+int64_t DrawOrderDate(Random* rng) {
+  return kStartDate + rng->NextInt(0, kEndDate - kStartDate);
 }
 
 int64_t LinesPerOrder(int64_t orderkey) {
@@ -73,15 +98,38 @@ double PartRetailPrice(int64_t partkey) {
   return 900.0 + static_cast<double>(partkey % 1000) + 0.01 * (partkey % 100);
 }
 
-struct PageBuilder {
-  std::vector<Column> cols;
+// Strings are built once, in place in the column's storage. A value made
+// of several draws takes them in a fixed order that is part of the data
+// (TpchTest.PagesMatchRecordedDigests pins it): right to left, e.g. a
+// phone number's last four digits before its country code.
 
-  explicit PageBuilder(const TableSchema& schema) {
-    for (const auto& def : schema.columns()) cols.emplace_back(def.type);
-  }
+void AppendStr(Column* col, std::string_view value) {
+  col->mutable_strings()->emplace_back(value);
+}
 
-  PagePtr Finish() { return Page::Make(std::move(cols)); }
-};
+/// `len` random lowercase letters.
+void AppendRandomStr(Column* col, Random* rng, int len) {
+  rng->FillString(col->mutable_strings()->emplace_back(len, 'a').data(), len);
+}
+
+/// `prefix` then `n` in decimal, as `prefix + std::to_string(n)`.
+void AppendNumbered(Column* col, std::string_view prefix, int64_t n) {
+  char buf[48];
+  std::memcpy(buf, prefix.data(), prefix.size());
+  char* end = std::to_chars(buf + prefix.size(), buf + sizeof(buf), n).ptr;
+  AppendStr(col, std::string_view(buf, static_cast<size_t>(end - buf)));
+}
+
+/// "NN-555-NNNN".
+void AppendPhone(Column* col, Random* rng) {
+  const int64_t line = rng->NextInt(1000, 9999);
+  const int64_t country = 10 + rng->NextInt(0, 24);
+  char buf[] = "00-555-0000";
+  buf[0] = static_cast<char>('0' + country / 10);
+  buf[1] = static_cast<char>('0' + country % 10);
+  std::to_chars(buf + 7, buf + 11, line);
+  AppendStr(col, std::string_view(buf, 11));
+}
 
 }  // namespace
 
@@ -221,162 +269,220 @@ Catalog MakeTpchCatalog(double scale_factor, int num_storage_nodes) {
 TpchSplitGenerator::TpchSplitGenerator(std::string table, double scale_factor,
                                        int split_index, int split_count,
                                        int64_t batch_rows)
-    : table_(std::move(table)),
-      schema_(TpchSchema(table_)),
-      scale_factor_(scale_factor),
-      batch_rows_(batch_rows) {
+    : schema_(TpchSchema(table)),
+      batch_rows_(batch_rows),
+      customers_(TpchRowCount("customer", scale_factor)),
+      parts_(TpchRowCount("part", scale_factor)),
+      suppliers_(TpchRowCount("supplier", scale_factor)) {
   ACC_CHECK(split_index >= 0 && split_index < split_count)
       << "bad split " << split_index << "/" << split_count;
-  if (table_ == "lineitem") {
-    // Partition by order range; derive exact line counts.
-    int64_t orders = TpchRowCount("orders", scale_factor_);
-    begin_ = 1 + orders * split_index / split_count;
-    end_ = 1 + orders * (split_index + 1) / split_count;
-    for (int64_t o = begin_; o < end_; ++o) total_rows_ += LinesPerOrder(o);
-  } else {
-    int64_t rows = TpchRowCount(table_, scale_factor_);
-    begin_ = rows * split_index / split_count;
-    end_ = rows * (split_index + 1) / split_count;
-    total_rows_ = end_ - begin_;
+  static constexpr std::pair<std::string_view, FillFn> kFills[] = {
+      {"nation", &TpchSplitGenerator::FillNation},
+      {"region", &TpchSplitGenerator::FillRegion},
+      {"supplier", &TpchSplitGenerator::FillSupplier},
+      {"part", &TpchSplitGenerator::FillPart},
+      {"partsupp", &TpchSplitGenerator::FillPartsupp},
+      {"customer", &TpchSplitGenerator::FillCustomer},
+      {"orders", &TpchSplitGenerator::FillOrders},
+      {"lineitem", &TpchSplitGenerator::FillLineitem}};
+  for (const auto& [name, fill] : kFills) {
+    if (name == table) fill_ = fill;
   }
-  cursor_ = begin_;
+  if (fill_ == &TpchSplitGenerator::FillLineitem) {
+    // Partition by order range; derive exact line counts. The cursor
+    // starts on a finished empty order just before the range, so the
+    // first row steps to `begin`.
+    const int64_t orders = TpchRowCount("orders", scale_factor);
+    const int64_t begin = 1 + orders * split_index / split_count;
+    const int64_t end = 1 + orders * (split_index + 1) / split_count;
+    for (int64_t o = begin; o < end; ++o) total_rows_ += LinesPerOrder(o);
+    cursor_ = begin - 1;
+  } else {
+    const int64_t rows = TpchRowCount(table, scale_factor);
+    cursor_ = rows * split_index / split_count;
+    total_rows_ = rows * (split_index + 1) / split_count - cursor_;
+  }
+  remaining_rows_ = total_rows_;
 }
 
 PagePtr TpchSplitGenerator::NextPage() {
-  if (cursor_ >= end_) return nullptr;
-  PageBuilder b(schema_);
-  int64_t produced = 0;
-  const int64_t customers = TpchRowCount("customer", scale_factor_);
-  const int64_t parts = TpchRowCount("part", scale_factor_);
-  const int64_t suppliers = TpchRowCount("supplier", scale_factor_);
-
-  while (cursor_ < end_ && produced < batch_rows_) {
-    if (table_ == "nation") {
-      int64_t i = cursor_++;
-      Random rng = RowRng(table_, i);
-      b.cols[0].AppendInt(i);
-      b.cols[1].AppendStr(kNationNames[i]);
-      b.cols[2].AppendInt(kNationRegion[i]);
-      b.cols[3].AppendStr(rng.NextString(20));
-      ++produced;
-    } else if (table_ == "region") {
-      int64_t i = cursor_++;
-      Random rng = RowRng(table_, i);
-      b.cols[0].AppendInt(i);
-      b.cols[1].AppendStr(kRegionNames[i]);
-      b.cols[2].AppendStr(rng.NextString(20));
-      ++produced;
-    } else if (table_ == "supplier") {
-      int64_t key = ++cursor_;  // 1-based keys
-      Random rng = RowRng(table_, key);
-      b.cols[0].AppendInt(key);
-      b.cols[1].AppendStr("Supplier#" + std::to_string(key));
-      b.cols[2].AppendStr(rng.NextString(15));
-      b.cols[3].AppendInt(rng.NextInt(0, 24));
-      b.cols[4].AppendStr(std::to_string(10 + rng.NextInt(0, 24)) + "-555-" +
-                          std::to_string(rng.NextInt(1000, 9999)));
-      b.cols[5].AppendDouble(rng.NextDouble() * 10000 - 1000);
-      b.cols[6].AppendStr(rng.NextString(25));
-      ++produced;
-    } else if (table_ == "part") {
-      int64_t key = ++cursor_;
-      Random rng = RowRng(table_, key);
-      b.cols[0].AppendInt(key);
-      b.cols[1].AppendStr(std::string(kMaterials[rng.NextInt(0, 4)]) + " " +
-                          rng.NextString(8));
-      b.cols[2].AppendStr("Manufacturer#" + std::to_string(rng.NextInt(1, 5)));
-      b.cols[3].AppendStr("Brand#" + std::to_string(rng.NextInt(11, 55)));
-      b.cols[4].AppendStr(std::string(kTypes[rng.NextInt(0, 5)]) + " " +
-                          kMaterials[rng.NextInt(0, 4)]);
-      b.cols[5].AppendInt(rng.NextInt(1, 50));
-      b.cols[6].AppendStr(kContainers[rng.NextInt(0, 7)]);
-      b.cols[7].AppendDouble(PartRetailPrice(key));
-      b.cols[8].AppendStr(rng.NextString(15));
-      ++produced;
-    } else if (table_ == "partsupp") {
-      int64_t i = cursor_++;
-      Random rng = RowRng(table_, i);
-      // 4 suppliers per part.
-      int64_t partkey = 1 + i / 4;
-      b.cols[0].AppendInt(partkey);
-      b.cols[1].AppendInt(1 + (partkey + (i % 4) * (suppliers / 4 + 1)) %
-                                  suppliers);
-      b.cols[2].AppendInt(rng.NextInt(1, 9999));
-      b.cols[3].AppendDouble(rng.NextDouble() * 1000 + 1);
-      b.cols[4].AppendStr(rng.NextString(20));
-      ++produced;
-    } else if (table_ == "customer") {
-      int64_t key = ++cursor_;
-      Random rng = RowRng(table_, key);
-      b.cols[0].AppendInt(key);
-      b.cols[1].AppendStr("Customer#" + std::to_string(key));
-      b.cols[2].AppendStr(rng.NextString(15));
-      b.cols[3].AppendInt(rng.NextInt(0, 24));
-      b.cols[4].AppendStr(std::to_string(10 + rng.NextInt(0, 24)) + "-555-" +
-                          std::to_string(rng.NextInt(1000, 9999)));
-      b.cols[5].AppendDouble(rng.NextDouble() * 10000 - 1000);
-      b.cols[6].AppendStr(kSegments[rng.NextInt(0, 4)]);
-      b.cols[7].AppendStr(rng.NextString(25));
-      ++produced;
-    } else if (table_ == "orders") {
-      int64_t key = ++cursor_;
-      Random rng = RowRng(table_, key);
-      int64_t orderdate = kStartDate + rng.NextInt(0, kEndDate - kStartDate);
-      b.cols[0].AppendInt(key);
-      b.cols[1].AppendInt(rng.NextInt(1, customers));
-      b.cols[2].AppendStr(orderdate + 90 < ParseDate("1995-06-17") ? "F" : "O");
-      b.cols[3].AppendDouble(1000 + rng.NextDouble() * 450000);
-      b.cols[4].AppendInt(orderdate);
-      b.cols[5].AppendStr(kPriorities[rng.NextInt(0, 4)]);
-      b.cols[6].AppendStr("Clerk#" + std::to_string(rng.NextInt(1, 1000)));
-      b.cols[7].AppendInt(0);
-      b.cols[8].AppendStr(rng.NextString(30));
-      ++produced;
-    } else if (table_ == "lineitem") {
-      int64_t orderkey = cursor_;
-      int64_t nlines = LinesPerOrder(orderkey);
-      if (line_in_order_ >= nlines) {
-        ++cursor_;
-        line_in_order_ = 0;
-        continue;
-      }
-      int64_t line = ++line_in_order_;
-      Random rng = RowRng(table_, orderkey * 8 + line);
-      // Must match the order row's date: re-derive it deterministically.
-      Random order_rng = RowRng("orders", orderkey);
-      int64_t orderdate =
-          kStartDate + order_rng.NextInt(0, kEndDate - kStartDate);
-      int64_t partkey = rng.NextInt(1, parts);
-      double quantity = static_cast<double>(rng.NextInt(1, 50));
-      int64_t shipdate = orderdate + rng.NextInt(1, 121);
-      int64_t commitdate = orderdate + rng.NextInt(30, 90);
-      int64_t receiptdate = shipdate + rng.NextInt(1, 30);
-      const int64_t split_point = ParseDate("1995-06-17");
-      b.cols[0].AppendInt(orderkey);
-      b.cols[1].AppendInt(partkey);
-      b.cols[2].AppendInt(rng.NextInt(1, suppliers));
-      b.cols[3].AppendInt(line);
-      b.cols[4].AppendDouble(quantity);
-      b.cols[5].AppendDouble(quantity * PartRetailPrice(partkey));
-      b.cols[6].AppendDouble(0.01 * rng.NextInt(0, 10));
-      b.cols[7].AppendDouble(0.01 * rng.NextInt(0, 8));
-      b.cols[8].AppendStr(receiptdate <= split_point
-                              ? (rng.NextInt(0, 1) ? "R" : "A")
-                              : "N");
-      b.cols[9].AppendStr(shipdate > split_point ? "O" : "F");
-      b.cols[10].AppendInt(shipdate);
-      b.cols[11].AppendInt(commitdate);
-      b.cols[12].AppendInt(receiptdate);
-      b.cols[13].AppendStr(kShipInstructs[rng.NextInt(0, 3)]);
-      b.cols[14].AppendStr(kShipModes[rng.NextInt(0, 6)]);
-      b.cols[15].AppendStr(rng.NextString(20));
-      ++produced;
-    } else {
-      ACC_CHECK(false) << "unknown table " << table_;
-    }
+  const int64_t rows = std::min(batch_rows_, remaining_rows_);
+  if (rows <= 0) return nullptr;
+  std::vector<Column> cols;
+  cols.reserve(schema_.columns().size());
+  for (const auto& def : schema_.columns()) {
+    cols.emplace_back(def.type).Reserve(rows);
   }
-  if (produced == 0) return nullptr;
-  return b.Finish();
+  (this->*fill_)(cols.data(), rows);
+  remaining_rows_ -= rows;
+  return Page::Make(std::move(cols));
+}
+
+void TpchSplitGenerator::FillNation(Column* cols, int64_t rows) {
+  const int64_t first = cursor_;
+  cursor_ += rows;
+  for (int64_t i = first; i < first + rows; ++i) {
+    Random rng = RowRng(kNationSeed, i);
+    cols[0].AppendInt(i);
+    AppendStr(&cols[1], kNationNames[i]);
+    cols[2].AppendInt(kNationRegion[i]);
+    AppendRandomStr(&cols[3], &rng, 20);
+  }
+}
+
+void TpchSplitGenerator::FillRegion(Column* cols, int64_t rows) {
+  const int64_t first = cursor_;
+  cursor_ += rows;
+  for (int64_t i = first; i < first + rows; ++i) {
+    Random rng = RowRng(kRegionSeed, i);
+    cols[0].AppendInt(i);
+    AppendStr(&cols[1], kRegionNames[i]);
+    AppendRandomStr(&cols[2], &rng, 20);
+  }
+}
+
+void TpchSplitGenerator::FillSupplier(Column* cols, int64_t rows) {
+  const int64_t first = cursor_ + 1;  // 1-based keys
+  cursor_ += rows;
+  for (int64_t key = first; key < first + rows; ++key) {
+    Random rng = RowRng(kSupplierSeed, key);
+    cols[0].AppendInt(key);
+    AppendNumbered(&cols[1], "Supplier#", key);
+    AppendRandomStr(&cols[2], &rng, 15);
+    cols[3].AppendInt(rng.NextInt(0, 24));
+    AppendPhone(&cols[4], &rng);
+    cols[5].AppendDouble(rng.NextDouble() * 10000 - 1000);
+    AppendRandomStr(&cols[6], &rng, 25);
+  }
+}
+
+void TpchSplitGenerator::FillPart(Column* cols, int64_t rows) {
+  const int64_t first = cursor_ + 1;
+  cursor_ += rows;
+  for (int64_t key = first; key < first + rows; ++key) {
+    Random rng = RowRng(kPartSeed, key);
+    cols[0].AppendInt(key);
+    // p_name is "<material> <8 letters>": the letters are drawn first.
+    char letters[8];
+    rng.FillString(letters, 8);
+    std::string& name =
+        cols[1].mutable_strings()->emplace_back(kMaterials[rng.NextInt(0, 4)]);
+    name += ' ';
+    name.append(letters, 8);
+    AppendNumbered(&cols[2], "Manufacturer#", rng.NextInt(1, 5));
+    AppendNumbered(&cols[3], "Brand#", rng.NextInt(11, 55));
+    // p_type is "<type> <material>": the material is drawn first.
+    const std::string_view material = kMaterials[rng.NextInt(0, 4)];
+    std::string& type =
+        cols[4].mutable_strings()->emplace_back(kTypes[rng.NextInt(0, 5)]);
+    type += ' ';
+    type += material;
+    cols[5].AppendInt(rng.NextInt(1, 50));
+    AppendStr(&cols[6], kContainers[rng.NextInt(0, 7)]);
+    cols[7].AppendDouble(PartRetailPrice(key));
+    AppendRandomStr(&cols[8], &rng, 15);
+  }
+}
+
+void TpchSplitGenerator::FillPartsupp(Column* cols, int64_t rows) {
+  const int64_t suppliers = suppliers_;
+  const int64_t supplier_stride = suppliers / 4 + 1;
+  const int64_t first = cursor_;
+  cursor_ += rows;
+  for (int64_t i = first; i < first + rows; ++i) {
+    Random rng = RowRng(kPartsuppSeed, i);
+    // 4 suppliers per part.
+    const int64_t partkey = 1 + i / 4;
+    cols[0].AppendInt(partkey);
+    cols[1].AppendInt(1 + (partkey + (i % 4) * supplier_stride) % suppliers);
+    cols[2].AppendInt(rng.NextInt(1, 9999));
+    cols[3].AppendDouble(rng.NextDouble() * 1000 + 1);
+    AppendRandomStr(&cols[4], &rng, 20);
+  }
+}
+
+void TpchSplitGenerator::FillCustomer(Column* cols, int64_t rows) {
+  const int64_t first = cursor_ + 1;
+  cursor_ += rows;
+  for (int64_t key = first; key < first + rows; ++key) {
+    Random rng = RowRng(kCustomerSeed, key);
+    cols[0].AppendInt(key);
+    AppendNumbered(&cols[1], "Customer#", key);
+    AppendRandomStr(&cols[2], &rng, 15);
+    cols[3].AppendInt(rng.NextInt(0, 24));
+    AppendPhone(&cols[4], &rng);
+    cols[5].AppendDouble(rng.NextDouble() * 10000 - 1000);
+    AppendStr(&cols[6], kSegments[rng.NextInt(0, 4)]);
+    AppendRandomStr(&cols[7], &rng, 25);
+  }
+}
+
+void TpchSplitGenerator::FillOrders(Column* cols, int64_t rows) {
+  const int64_t customers = customers_;
+  const int64_t first = cursor_ + 1;
+  cursor_ += rows;
+  for (int64_t key = first; key < first + rows; ++key) {
+    Random rng = RowRng(kOrdersSeed, key);
+    const int64_t orderdate = DrawOrderDate(&rng);
+    cols[0].AppendInt(key);
+    cols[1].AppendInt(rng.NextInt(1, customers));
+    AppendStr(&cols[2], orderdate + 90 < kCurrentDate ? "F" : "O");
+    cols[3].AppendDouble(1000 + rng.NextDouble() * 450000);
+    cols[4].AppendInt(orderdate);
+    AppendStr(&cols[5], kPriorities[rng.NextInt(0, 4)]);
+    AppendNumbered(&cols[6], "Clerk#", rng.NextInt(1, 1000));
+    cols[7].AppendInt(0);
+    AppendRandomStr(&cols[8], &rng, 30);
+  }
+}
+
+void TpchSplitGenerator::FillLineitem(Column* cols, int64_t rows) {
+  const int64_t parts = parts_;
+  const int64_t suppliers = suppliers_;
+  int64_t orderkey = cursor_;
+  int64_t line = line_in_order_;
+  int64_t order_lines = order_lines_;
+  int64_t orderdate = order_date_;
+  for (int64_t r = 0; r < rows; ++r) {
+    if (line == order_lines) {
+      // Next order: its line count and (from the order row's own RNG) its
+      // date, once for all of its lines.
+      ++orderkey;
+      line = 0;
+      order_lines = LinesPerOrder(orderkey);
+      Random order_rng = RowRng(kOrdersSeed, orderkey);
+      orderdate = DrawOrderDate(&order_rng);
+    }
+    ++line;
+    Random rng = RowRng(kLineitemSeed, orderkey * 8 + line);
+    const int64_t partkey = rng.NextInt(1, parts);
+    const double quantity = static_cast<double>(rng.NextInt(1, 50));
+    const int64_t shipdate = orderdate + rng.NextInt(1, 121);
+    const int64_t commitdate = orderdate + rng.NextInt(30, 90);
+    const int64_t receiptdate = shipdate + rng.NextInt(1, 30);
+    cols[0].AppendInt(orderkey);
+    cols[1].AppendInt(partkey);
+    cols[2].AppendInt(rng.NextInt(1, suppliers));
+    cols[3].AppendInt(line);
+    cols[4].AppendDouble(quantity);
+    cols[5].AppendDouble(quantity * PartRetailPrice(partkey));
+    cols[6].AppendDouble(0.01 * rng.NextInt(0, 10));
+    cols[7].AppendDouble(0.01 * rng.NextInt(0, 8));
+    AppendStr(&cols[8], receiptdate <= kCurrentDate
+                            ? (rng.NextInt(0, 1) ? "R" : "A")
+                            : "N");
+    AppendStr(&cols[9], shipdate > kCurrentDate ? "O" : "F");
+    cols[10].AppendInt(shipdate);
+    cols[11].AppendInt(commitdate);
+    cols[12].AppendInt(receiptdate);
+    AppendStr(&cols[13], kShipInstructs[rng.NextInt(0, 3)]);
+    AppendStr(&cols[14], kShipModes[rng.NextInt(0, 6)]);
+    AppendRandomStr(&cols[15], &rng, 20);
+  }
+  cursor_ = orderkey;
+  line_in_order_ = line;
+  order_lines_ = order_lines;
+  order_date_ = orderdate;
 }
 
 std::vector<PagePtr> GenerateSplit(const std::string& table,

@@ -57,17 +57,34 @@ class TpchSplitGenerator {
   const TableSchema& schema() const { return schema_; }
 
  private:
-  std::string table_;
+  // One fill loop per table, chosen at construction. Each appends exactly
+  // `rows` rows to the page's columns and advances the cursor.
+  using FillFn = void (TpchSplitGenerator::*)(Column* cols, int64_t rows);
+  void FillNation(Column* cols, int64_t rows);
+  void FillRegion(Column* cols, int64_t rows);
+  void FillSupplier(Column* cols, int64_t rows);
+  void FillPart(Column* cols, int64_t rows);
+  void FillPartsupp(Column* cols, int64_t rows);
+  void FillCustomer(Column* cols, int64_t rows);
+  void FillOrders(Column* cols, int64_t rows);
+  void FillLineitem(Column* cols, int64_t rows);
+
   TableSchema schema_;
-  double scale_factor_;
   int64_t batch_rows_;
-  // Row-range tables: [row_begin_, row_end_). Lineitem: order range.
-  int64_t begin_ = 0;
-  int64_t end_ = 0;
+  FillFn fill_ = nullptr;
+  // Foreign-key domains at this scale factor.
+  int64_t customers_ = 0;
+  int64_t parts_ = 0;
+  int64_t suppliers_ = 0;
+  // Row-range tables: next row index. Lineitem: current order key.
   int64_t cursor_ = 0;
   int64_t total_rows_ = 0;
-  // Lineitem state: line offset within the current order.
+  int64_t remaining_rows_ = 0;
+  // Lineitem: lines already emitted of order `cursor_`, its line count and
+  // its order date.
   int64_t line_in_order_ = 0;
+  int64_t order_lines_ = 0;
+  int64_t order_date_ = 0;
 };
 
 /// Materializes an entire split (convenience for tests and CSV export).

@@ -1,7 +1,6 @@
 #include "vector/data_type.h"
 
 #include <cstdio>
-#include <limits>
 
 namespace accordion {
 namespace {
@@ -50,10 +49,26 @@ const char* DataTypeName(DataType type) {
 }
 
 int64_t ParseDate(const std::string& text) {
-  int y = 0, m = 0, d = 0;
-  if (std::sscanf(text.c_str(), "%d-%d-%d", &y, &m, &d) != 3) {
-    return std::numeric_limits<int64_t>::min();
+  if (text.size() != 10 || text[4] != '-' || text[7] != '-') {
+    return kInvalidDate;
   }
+  // Decimal value of text[pos, pos + len), or -1 on a non-digit.
+  auto digits = [&text](size_t pos, size_t len) -> int64_t {
+    int64_t value = 0;
+    for (size_t i = pos; i < pos + len; ++i) {
+      if (text[i] < '0' || text[i] > '9') return -1;
+      value = value * 10 + (text[i] - '0');
+    }
+    return value;
+  };
+  const int64_t y = digits(0, 4);
+  const int64_t m = digits(5, 2);
+  const int64_t d = digits(8, 2);
+  if (y < 0 || m < 1 || m > 12 || d < 1) return kInvalidDate;
+  static constexpr int64_t kDaysInMonth[12] = {31, 28, 31, 30, 31, 30,
+                                               31, 31, 30, 31, 30, 31};
+  const bool leap = (y % 4 == 0 && y % 100 != 0) || y % 400 == 0;
+  if (d > kDaysInMonth[m - 1] + (m == 2 && leap)) return kInvalidDate;
   return DaysFromCivil(y, m, d);
 }
 

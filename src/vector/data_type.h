@@ -2,6 +2,7 @@
 #define ACCORDION_VECTOR_DATA_TYPE_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace accordion {
@@ -22,8 +23,12 @@ inline bool IsIntegerBacked(DataType type) {
          type == DataType::kBool;
 }
 
-/// Converts 'YYYY-MM-DD' to days since epoch. Aborts on malformed input in
-/// tests; returns INT64_MIN for unparsable strings.
+/// ParseDate's result for text that is not a valid date.
+inline constexpr int64_t kInvalidDate = std::numeric_limits<int64_t>::min();
+
+/// Converts 'YYYY-MM-DD' to days since epoch: exactly four, two and two
+/// digits, a month in 1..12 and a day that exists in that month (Gregorian
+/// leap years), nothing before or after. Anything else is kInvalidDate.
 int64_t ParseDate(const std::string& text);
 
 /// Formats days-since-epoch back to 'YYYY-MM-DD'.

@@ -456,6 +456,17 @@ TEST(SessionTest, PreparedDateParameterCoerces) {
   EXPECT_EQ((*pages)[0]->column(0).IntAt(0), expected);
 }
 
+TEST(SessionTest, PreparedDateParameterRejectsMalformed) {
+  AccordionCluster cluster(FastOptions());
+  Session session(cluster.coordinator());
+  auto prepared = session.Prepare(
+      "SELECT count(o_orderkey) AS n FROM orders WHERE o_orderdate < ?");
+  ASSERT_TRUE(prepared.ok());
+  auto query = session.Execute(*prepared, {Value::Str("not-a-date")});
+  ASSERT_FALSE(query.ok());
+  EXPECT_EQ(query.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(SessionTest, ExecuteRejectsUnboundPlaceholders) {
   AccordionCluster cluster(FastOptions());
   Session session(cluster.coordinator());

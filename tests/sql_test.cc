@@ -177,6 +177,34 @@ TEST(AnalyzerTest, TypeMismatchesReturnStatusNotAbort) {
   }
 }
 
+TEST(AnalyzerTest, MalformedDatesAreInvalidArgument) {
+  Catalog catalog = TestCatalog();
+  const char* bad[] = {
+      // DATE literals.
+      "SELECT count(*) AS n FROM orders WHERE o_orderdate < DATE 'banana'",
+      "SELECT count(*) AS n FROM orders WHERE o_orderdate < DATE '1995-02-30'",
+      "SELECT count(*) AS n FROM orders WHERE o_orderdate < DATE '1995-13-45'",
+      "SELECT count(*) AS n FROM orders "
+      "WHERE o_orderdate < DATE '1995-01-01junk'",
+      // Strings coerced to dates, on either side, in BETWEEN and IN.
+      "SELECT count(*) AS n FROM orders WHERE o_orderdate < '1995-02-30'",
+      "SELECT count(*) AS n FROM orders WHERE 'banana' < o_orderdate",
+      "SELECT count(*) AS n FROM orders "
+      "WHERE o_orderdate BETWEEN DATE '1995-01-01' AND '1995-02-30'",
+      "SELECT count(*) AS n FROM orders "
+      "WHERE o_orderdate IN ('1995-01-01', '1995-1-2')",
+  };
+  for (const char* sql : bad) {
+    auto plan = SqlToPlan(sql, catalog);
+    ASSERT_FALSE(plan.ok()) << "accepted: " << sql;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+  EXPECT_TRUE(SqlToPlan("SELECT count(*) AS n FROM orders "
+                        "WHERE o_orderdate < DATE '1996-02-29'",
+                        catalog)
+                  .ok());
+}
+
 TEST(AnalyzerTest, UnsupportedSyntaxReturnsParseError) {
   Catalog catalog = TestCatalog();
   const char* bad[] = {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <set>
 
 #include "catalog/catalog.h"
@@ -134,6 +135,117 @@ TEST(TpchTest, ForeignKeysInRange) {
       EXPECT_LE(page->column(1).IntAt(r), parts);
       EXPECT_LE(page->column(2).IntAt(r), suppliers);
     }
+  }
+}
+
+/// FNV-1a over everything a generated page exposes: its row count and
+/// ByteSize, and per column the type, the validity bytes and every value
+/// (doubles by bit pattern, strings by length and bytes). Integers fold in
+/// little-endian order, so the digest does not depend on the host.
+class PageDigest {
+ public:
+  void Add(const Page& page) {
+    AddU64(static_cast<uint64_t>(page.num_rows()));
+    AddU64(static_cast<uint64_t>(page.ByteSize()));
+    AddU64(static_cast<uint64_t>(page.num_columns()));
+    for (int c = 0; c < page.num_columns(); ++c) {
+      const Column& col = page.column(c);
+      AddU64(static_cast<uint64_t>(col.type()));
+      AddU64(col.validity().size());
+      for (uint8_t valid : col.validity()) AddByte(valid);
+      for (int64_t r = 0; r < col.size(); ++r) {
+        switch (col.type()) {
+          case DataType::kDouble: {
+            const double value = col.DoubleAt(r);
+            uint64_t bits;
+            std::memcpy(&bits, &value, sizeof(bits));
+            AddU64(bits);
+            break;
+          }
+          case DataType::kString: {
+            const std::string& value = col.StrAt(r);
+            AddU64(value.size());
+            for (char ch : value) AddByte(static_cast<uint8_t>(ch));
+            break;
+          }
+          default:
+            AddU64(static_cast<uint64_t>(col.IntAt(r)));
+        }
+      }
+    }
+  }
+
+  std::string Hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(hash_));
+    return buf;
+  }
+
+ private:
+  void AddByte(uint8_t byte) { hash_ = (hash_ ^ byte) * 1099511628211ULL; }
+  void AddU64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) AddByte(static_cast<uint8_t>(v >> (8 * i)));
+  }
+
+  uint64_t hash_ = 1469598103934665603ULL;
+};
+
+TEST(TpchTest, PagesMatchRecordedDigests) {
+  // Every byte the generator emits, pinned for a fixed set of shapes:
+  // single-split, one-row pages and a middle split of many. A change to
+  // any value, page boundary or ByteSize fails here. Re-record only when
+  // the generated data is meant to change; the benchmark's query digests
+  // change with it.
+  struct Shape {
+    const char* table;
+    double sf;
+    int split;
+    int count;
+    int64_t batch;
+    const char* digest;
+  };
+  const Shape kShapes[] = {
+      {"nation", 0.01, 0, 1, 4096, "3a1df3fd43ba30a4"},
+      {"nation", 0.01, 1, 3, 1, "8f41a2da855f1adc"},
+      {"nation", 0.01, 5, 14, 256, "0670659d9124ded1"},
+      {"region", 0.01, 0, 1, 4096, "0369f9655fa2a2c2"},
+      {"region", 0.01, 1, 3, 1, "267eec691f811b5b"},
+      {"region", 0.01, 5, 14, 256, "eb0d05eb892db9ad"},
+      {"supplier", 0.01, 0, 1, 4096, "f66714e720879925"},
+      {"supplier", 0.01, 1, 3, 1, "974bd5d982c5656e"},
+      {"supplier", 0.01, 5, 14, 256, "c9137e2180615a0f"},
+      {"part", 0.01, 0, 1, 4096, "a8f7de761e9637f0"},
+      {"part", 0.01, 1, 3, 1, "90586d9d8028bef7"},
+      {"part", 0.01, 5, 14, 256, "dc11a7cb3fcd11f3"},
+      {"partsupp", 0.01, 0, 1, 4096, "e414fc4e54df1e1c"},
+      {"partsupp", 0.01, 1, 3, 1, "5012cc17c806988d"},
+      {"partsupp", 0.01, 5, 14, 256, "2ec389c447fe8304"},
+      {"customer", 0.01, 0, 1, 4096, "412854df4a861090"},
+      {"customer", 0.01, 1, 3, 1, "125dbcd468e76414"},
+      {"customer", 0.01, 5, 14, 256, "3eb714dd80a31a5e"},
+      {"orders", 0.01, 0, 1, 4096, "701b8128b7db4466"},
+      {"orders", 0.01, 1, 3, 1, "0112fb9f5ae04b92"},
+      {"orders", 0.01, 5, 14, 256, "78761a1ff577328e"},
+      {"lineitem", 0.01, 0, 1, 4096, "e692bec0b5b4591c"},
+      {"lineitem", 0.01, 1, 3, 1, "d56bfaff26d90ea6"},
+      {"lineitem", 0.01, 5, 14, 256, "400338c7842ec97a"},
+      {"lineitem", 0.1, 5, 14, 256, "2df8344016755014"},
+      {"orders", 0.1, 5, 14, 256, "9dbbd28a87545b12"},
+  };
+  for (const Shape& shape : kShapes) {
+    TpchSplitGenerator gen(shape.table, shape.sf, shape.split, shape.count,
+                           shape.batch);
+    PageDigest digest;
+    int64_t rows = 0;
+    while (PagePtr page = gen.NextPage()) {
+      digest.Add(*page);
+      rows += page->num_rows();
+    }
+    EXPECT_EQ(rows, gen.TotalRows()) << shape.table;
+    EXPECT_EQ(digest.Hex(), shape.digest)
+        << shape.table << " sf " << shape.sf << " split " << shape.split
+        << "/" << shape.count << " batch " << shape.batch;
   }
 }
 

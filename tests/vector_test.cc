@@ -40,6 +40,20 @@ TEST(DateTest, OrderingMatchesCalendar) {
   EXPECT_LT(ParseDate("1993-12-31"), ParseDate("1994-01-01"));
 }
 
+TEST(DateTest, RejectsMalformed) {
+  for (const char* text :
+       {"banana", "", "1995-02-30", "1995-13-45", "1995-00-10", "1995-01-00",
+        "1995-04-31", "1900-02-29", "1995-01-01junk", " 1995-01-01",
+        "1995-1-1", "95-01-01", "1995/01/01", "1995-01-+1", "-995-01-01"}) {
+    EXPECT_EQ(ParseDate(text), kInvalidDate) << text;
+  }
+  // Leap days exist in leap years only (every 4th, not every 100th, but
+  // every 400th).
+  EXPECT_EQ(FormatDate(ParseDate("1996-02-29")), "1996-02-29");
+  EXPECT_EQ(FormatDate(ParseDate("2000-02-29")), "2000-02-29");
+  EXPECT_EQ(ParseDate("1995-12-31") + 1, ParseDate("1996-01-01"));
+}
+
 TEST(ValueTest, Constructors) {
   EXPECT_EQ(Value::Int(5).ToString(), "5");
   EXPECT_EQ(Value::Str("abc").ToString(), "abc");
