@@ -599,6 +599,9 @@ Status Coordinator::SetStageDop(const std::string& query_id, int stage_id,
     return Status::FailedPrecondition(
         "stage contains stateful final operators; DOP pinned to 1");
   }
+  if (stage.fragment.has_unmatched_build_join) {
+    return Status::Unimplemented(kUnmatchedBuildSwitchMessage);
+  }
   if (dop < 1) return Status::InvalidArgument("stage DOP must be >= 1");
   if (dop == stage.dop) return Status::OK();
 
@@ -840,6 +843,7 @@ Result<QuerySnapshot> Coordinator::Snapshot(const std::string& query_id) {
     s.is_scan = stage.fragment.IsScanStage();
     s.scan_table = stage.fragment.scan_table;
     s.has_join = stage.fragment.has_join;
+    s.has_unmatched_build_join = stage.fragment.has_unmatched_build_join;
     s.has_final_stateful = stage.fragment.has_final_stateful;
     s.is_shuffle_stage = stage.fragment.is_shuffle_stage;
     s.dop = stage.dop;

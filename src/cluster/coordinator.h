@@ -56,6 +56,11 @@ struct QueryOptions {
 
 enum class QueryState { kRunning, kFinished, kFailed, kAborted };
 
+/// Why a right/full join stage's DOP cannot change (kUnimplemented).
+inline constexpr char kUnmatchedBuildSwitchMessage[] =
+    "stage DOP switch of a right/full join is not supported: each task "
+    "group would drain build rows the other group matched";
+
 /// Aggregated per-stage runtime information (one node of the paper's
 /// Fig. 18 stage-info tree).
 struct StageSnapshot {
@@ -65,6 +70,8 @@ struct StageSnapshot {
   bool is_scan = false;
   std::string scan_table;
   bool has_join = false;
+  /// A right/full join: SetStageDop refuses the stage (kUnimplemented).
+  bool has_unmatched_build_join = false;
   bool has_final_stateful = false;
   bool is_shuffle_stage = false;
   bool finished = false;

@@ -48,18 +48,21 @@ StorageService::StorageService(int num_nodes, const NodeConfig& node_config,
   }
 }
 
-std::unique_ptr<PageSource> StorageService::OpenSplit(const SystemSplit& split,
-                                                      Pacer* reader) {
+std::unique_ptr<PageSource> StorageService::OpenSplit(
+    const SystemSplit& split, const std::vector<int>& columns, Pacer* reader) {
   ACC_CHECK(split.storage_node_id >= 0 &&
             split.storage_node_id < num_nodes())
       << "split references unknown storage node " << split.storage_node_id;
+  // NULL injection hashes whole rows: it reads the full schema and keeps
+  // `columns` after injecting.
+  const bool inject = engine_config_->null_injection_rate > 0;
   std::unique_ptr<PageSource> source = std::make_unique<GeneratorPageSource>(
       split.table, split.scale_factor, split.split_index, split.split_count,
-      engine_config_->batch_rows);
-  if (engine_config_->null_injection_rate > 0) {
+      engine_config_->batch_rows, inject ? std::vector<int>{} : columns);
+  if (inject) {
     source = std::make_unique<NullInjectingPageSource>(
         std::move(source), engine_config_->null_injection_rate,
-        engine_config_->null_injection_seed);
+        engine_config_->null_injection_seed, columns);
   }
   if (Pacer* storage = pacer(split.storage_node_id)) {
     source = std::make_unique<NicChargingPageSource>(std::move(source),
@@ -81,8 +84,9 @@ WorkerNode::WorkerNode(int id, const NodeConfig& node_config,
 Status WorkerNode::CreateTask(TaskSpec spec, NextSplitFn next_split) {
   TaskApis apis;
   apis.next_split = std::move(next_split);
-  apis.open_split = [this](const SystemSplit& split) {
-    return storage_->OpenSplit(split, pacer_.get());
+  apis.open_split = [this](const SystemSplit& split,
+                           const std::vector<int>& columns) {
+    return storage_->OpenSplit(split, columns, pacer_.get());
   };
   apis.fetch_pages = [this](const RemoteSplit& split, int buffer_id,
                             int64_t start_sequence, int max_pages,

@@ -22,10 +22,12 @@ class StorageService {
   StorageService(int num_nodes, const NodeConfig& node_config,
                  const EngineConfig* engine_config);
 
-  /// Opens a split. On a simulated cluster the returned source charges the
-  /// storage node's NIC and the reader's (`reader`) per page, blocking the
-  /// reading thread until both grants.
+  /// Opens a split for reading `columns` (table-schema channels, in page
+  /// order; empty reads all). On a simulated cluster the returned source
+  /// charges the storage node's NIC and the reader's (`reader`) per
+  /// projected page, blocking the reading thread until both grants.
   std::unique_ptr<PageSource> OpenSplit(const SystemSplit& split,
+                                        const std::vector<int>& columns,
                                         Pacer* reader);
 
   int num_nodes() const { return num_nodes_; }

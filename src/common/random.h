@@ -19,7 +19,12 @@ class Random {
     return z ^ (z >> 31);
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
+  /// Advances past `n` draws in O(1): every draw is one state step, so the
+  /// stream then continues exactly as after `n` calls to NextUint64.
+  void Skip(uint64_t n) { state_ += n * 0x9E3779B97F4A7C15ULL; }
+
+  /// Uniform integer in [lo, hi] inclusive. Exactly one draw, with no
+  /// rejection loop: the TPC-H generator skips unread columns with Skip.
   int64_t NextInt(int64_t lo, int64_t hi) {
     return lo + static_cast<int64_t>(NextUint64() %
                                      static_cast<uint64_t>(hi - lo + 1));

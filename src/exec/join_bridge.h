@@ -172,7 +172,7 @@ class JoinBridge {
 
   /// Which sides of the variant the drain must resolve.
   bool needs_build_drain() const {
-    return join_type_ == JoinType::kRight || join_type_ == JoinType::kFull;
+    return JoinEmitsUnmatchedBuild(join_type_);
   }
   bool tracks_probe_matches() const {
     return join_type_ != JoinType::kInner && join_type_ != JoinType::kRight;

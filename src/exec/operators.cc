@@ -16,10 +16,11 @@ namespace {
 class TableScanOperator : public Operator {
  public:
   TableScanOperator(TaskContext* ctx, NextSplitFn next_split,
-                    OpenSplitFn open_split)
+                    OpenSplitFn open_split, std::vector<int> columns)
       : Operator(ctx),
         next_split_(std::move(next_split)),
-        open_split_(std::move(open_split)) {}
+        open_split_(std::move(open_split)),
+        columns_(std::move(columns)) {}
 
   void AddInput(const PagePtr&) override {
     ACC_CHECK(false) << "table scan takes no input";
@@ -33,7 +34,7 @@ class TableScanOperator : public Operator {
         if (end_signalled_) return EmitEnd();
         std::optional<SystemSplit> split = next_split_();
         if (!split.has_value()) return EmitEnd();
-        source_ = open_split_(*split);
+        source_ = open_split_(*split, columns_);
         if (source_ != nullptr && source_->TotalRows() >= 0) {
           task_ctx_->AddScanTotalRows(source_->TotalRows());
         }
@@ -59,17 +60,22 @@ class TableScanOperator : public Operator {
  private:
   NextSplitFn next_split_;
   OpenSplitFn open_split_;
+  std::vector<int> columns_;
   std::unique_ptr<PageSource> source_;
   bool end_signalled_ = false;
 };
 
 class TableScanFactory : public OperatorFactory {
  public:
-  TableScanFactory(NextSplitFn next_split, OpenSplitFn open_split)
-      : next_split_(std::move(next_split)), open_split_(std::move(open_split)) {}
+  TableScanFactory(NextSplitFn next_split, OpenSplitFn open_split,
+                   std::vector<int> columns)
+      : next_split_(std::move(next_split)),
+        open_split_(std::move(open_split)),
+        columns_(std::move(columns)) {}
 
   OperatorPtr Create(TaskContext* ctx, int) override {
-    return std::make_unique<TableScanOperator>(ctx, next_split_, open_split_);
+    return std::make_unique<TableScanOperator>(ctx, next_split_, open_split_,
+                                               columns_);
   }
   std::string Name() const override { return "TableScan"; }
   bool IsSource() const override { return true; }
@@ -77,6 +83,7 @@ class TableScanFactory : public OperatorFactory {
  private:
   NextSplitFn next_split_;
   OpenSplitFn open_split_;
+  std::vector<int> columns_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1482,9 +1489,10 @@ class TaskOutputFactory : public OperatorFactory {
 }  // namespace
 
 OperatorFactoryPtr MakeTableScanFactory(NextSplitFn next_split,
-                                        OpenSplitFn open_split) {
-  return std::make_shared<TableScanFactory>(std::move(next_split),
-                                            std::move(open_split));
+                                        OpenSplitFn open_split,
+                                        std::vector<int> columns) {
+  return std::make_shared<TableScanFactory>(
+      std::move(next_split), std::move(open_split), std::move(columns));
 }
 
 OperatorFactoryPtr MakeValuesFactory(std::vector<PagePtr> pages) {

@@ -23,13 +23,15 @@ namespace accordion {
 /// tasks/drivers simply keep pulling).
 using NextSplitFn = std::function<std::optional<SystemSplit>()>;
 
-/// Opens a split for reading (cluster layer adds storage-node NIC costs).
-using OpenSplitFn =
-    std::function<std::unique_ptr<PageSource>(const SystemSplit&)>;
+/// Opens a split for reading `columns`, the table-schema channels the scan
+/// emits in page order (cluster layer adds storage-node NIC costs).
+using OpenSplitFn = std::function<std::unique_ptr<PageSource>(
+    const SystemSplit&, const std::vector<int>& columns)>;
 
 // --- source operators ---
 OperatorFactoryPtr MakeTableScanFactory(NextSplitFn next_split,
-                                        OpenSplitFn open_split);
+                                        OpenSplitFn open_split,
+                                        std::vector<int> columns);
 OperatorFactoryPtr MakeValuesFactory(std::vector<PagePtr> pages);
 OperatorFactoryPtr MakeExchangeFactory(ExchangeClient* client);
 OperatorFactoryPtr MakeLocalExchangeSourceFactory(LocalExchange* exchange);

@@ -29,8 +29,11 @@ class PipelineCompiler {
   /// pipeline; pushes completed (sink-terminated) pipelines as it goes.
   std::vector<OperatorFactoryPtr> Compile(const PlanNodePtr& node) {
     switch (node->kind()) {
-      case PlanNodeKind::kTableScan:
-        return {MakeTableScanFactory(ctx_->next_split, ctx_->open_split)};
+      case PlanNodeKind::kTableScan: {
+        const auto& scan = static_cast<const TableScanNode&>(*node);
+        return {MakeTableScanFactory(ctx_->next_split, ctx_->open_split,
+                                     scan.columns())};
+      }
       case PlanNodeKind::kValues: {
         const auto& values = static_cast<const ValuesNode&>(*node);
         return {MakeValuesFactory(values.pages())};

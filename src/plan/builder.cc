@@ -1,5 +1,7 @@
 #include "plan/builder.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace accordion {
@@ -25,30 +27,24 @@ PlanBuilder::Rel PlanBuilder::Scan(const std::string& table,
                                    const std::vector<std::string>& columns) {
   auto schema = catalog_->GetTable(table);
   ACC_CHECK(schema.ok()) << schema.status().ToString();
+  ACC_CHECK(!columns.empty()) << "scan of " << table << " reads no column";
+  std::vector<int> channels;
   std::vector<DataType> types;
+  channels.reserve(columns.size());
   types.reserve(columns.size());
   for (const auto& name : columns) {
     int ch = schema->ChannelOf(name);
-    ACC_CHECK(ch >= 0) << "table " << table << " has no column " << name;
+    ACC_CHECK(ch >= 0 && std::find(channels.begin(), channels.end(), ch) ==
+                             channels.end())
+        << "table " << table << " has no column " << name
+        << ", or the scan lists it twice";
+    channels.push_back(ch);
     types.push_back(schema->TypeOf(ch));
   }
-  // The scan operator produces the full table schema; project down to the
-  // requested columns right away (column pruning).
-  Rel full{std::make_shared<TableScanNode>(NextId(), table,
-                                           schema->ColumnTypes()),
-           {}};
-  for (const auto& def : schema->columns()) full.names.push_back(def.name);
-  if (columns.size() == full.names.size()) {
-    bool identity = true;
-    for (size_t i = 0; i < columns.size(); ++i) {
-      identity &= columns[i] == full.names[i];
-    }
-    if (identity) return full;
-  }
-  std::vector<ExprPtr> exprs;
-  exprs.reserve(columns.size());
-  for (const auto& name : columns) exprs.push_back(full.Ref(name));
-  return Project(full, std::move(exprs), columns);
+  return Rel{std::make_shared<TableScanNode>(NextId(), table,
+                                             std::move(channels),
+                                             std::move(types)),
+             columns};
 }
 
 PlanBuilder::Rel PlanBuilder::Filter(Rel input, ExprPtr predicate) {
@@ -75,8 +71,7 @@ PlanBuilder::Rel PlanBuilder::Join(Rel probe, Rel build,
   // Right/full joins emit unmatched build rows; a broadcast build would
   // replicate every build row to every worker and emit its null-padding
   // once per worker.
-  ACC_CHECK(!(broadcast &&
-              (join_type == JoinType::kRight || join_type == JoinType::kFull)))
+  ACC_CHECK(!(broadcast && JoinEmitsUnmatchedBuild(join_type)))
       << "broadcast build is incompatible with " << JoinTypeName(join_type)
       << " join";
   // Null-aware anti and mark joins decide per probe row from the *global*

@@ -40,7 +40,9 @@ class PlanBuilder {
     ExprPtr Ref(const std::string& name) const;
   };
 
-  /// Scans `columns` (subset, in the given order) of a base table.
+  /// Scans `columns` (a non-empty subset of distinct names, in the given
+  /// order) of a base table. The TableScanNode carries the list, and the
+  /// data source generates only those columns.
   Rel Scan(const std::string& table, const std::vector<std::string>& columns);
 
   Rel Filter(Rel input, ExprPtr predicate);

@@ -142,6 +142,8 @@ class Fragmenter {
         break;
       case PlanNodeKind::kHashJoin:
         fragment->has_join = true;
+        fragment->has_unmatched_build_join |= JoinEmitsUnmatchedBuild(
+            static_cast<const HashJoinNode&>(*node).join_type());
         *only_passthrough = false;
         break;
       case PlanNodeKind::kFinalAggregation:

@@ -45,6 +45,11 @@ struct PlanFragment {
   /// hash-table reconstruction / DOP switching, paper §4.5).
   bool has_join = false;
 
+  /// True when a hash join in the fragment emits unmatched build rows
+  /// (right/full). Its stage DOP cannot change: after a switch, the old
+  /// and the new task group would each drain build rows the other matched.
+  bool has_unmatched_build_join = false;
+
   bool IsScanStage() const { return !scan_table.empty(); }
 
   std::string ToString() const;

@@ -69,6 +69,12 @@ inline bool JoinEmitsBuildColumns(JoinType t) {
          t == JoinType::kRight || t == JoinType::kFull;
 }
 
+/// Right/full joins also emit the build rows no probe row matched, drained
+/// after the whole probe side has been seen.
+inline bool JoinEmitsUnmatchedBuild(JoinType t) {
+  return t == JoinType::kRight || t == JoinType::kFull;
+}
+
 /// Aggregate function kinds supported by the two-phase aggregation model.
 enum class AggFunc { kCount, kSum, kMin, kMax, kAvg };
 
@@ -138,17 +144,23 @@ class PlanNode {
 // Node subclasses
 // ---------------------------------------------------------------------------
 
+/// Reads `columns` of a base table: its table-schema channels, in output
+/// order, with `types` their types. The data source emits only these.
 class TableScanNode : public PlanNode {
  public:
-  TableScanNode(int id, std::string table, std::vector<DataType> output_types)
-      : PlanNode(PlanNodeKind::kTableScan, id, std::move(output_types), {}),
-        table_(std::move(table)) {}
+  TableScanNode(int id, std::string table, std::vector<int> columns,
+                std::vector<DataType> types)
+      : PlanNode(PlanNodeKind::kTableScan, id, std::move(types), {}),
+        table_(std::move(table)),
+        columns_(std::move(columns)) {}
 
   const std::string& table() const { return table_; }
+  const std::vector<int>& columns() const { return columns_; }
   std::string Describe() const override { return "TableScan(" + table_ + ")"; }
 
  private:
   std::string table_;
+  std::vector<int> columns_;
 };
 
 class FilterNode : public PlanNode {

@@ -102,18 +102,37 @@ double PartRetailPrice(int64_t partkey) {
 // of several draws takes them in a fixed order that is part of the data
 // (TpchTest.PagesMatchRecordedDigests pins it): right to left, e.g. a
 // phone number's last four digits before its country code.
+//
+// Every append takes the column a fill loop writes, or null when the page
+// does not hold it. A value passed in is drawn either way, at its place in
+// the row's draw order; a skipped string steps the row's RNG past the
+// draws it would take with Random::Skip. So every later draw of the row,
+// and every kept value, is the same as in the full page.
+
+void AppendInt(Column* col, int64_t value) {
+  if (col != nullptr) col->AppendInt(value);
+}
+
+void AppendDouble(Column* col, double value) {
+  if (col != nullptr) col->AppendDouble(value);
+}
 
 void AppendStr(Column* col, std::string_view value) {
-  col->mutable_strings()->emplace_back(value);
+  if (col != nullptr) col->mutable_strings()->emplace_back(value);
 }
 
 /// `len` random lowercase letters.
 void AppendRandomStr(Column* col, Random* rng, int len) {
+  if (col == nullptr) {
+    rng->Skip(static_cast<uint64_t>(len));
+    return;
+  }
   rng->FillString(col->mutable_strings()->emplace_back(len, 'a').data(), len);
 }
 
 /// `prefix` then `n` in decimal, as `prefix + std::to_string(n)`.
 void AppendNumbered(Column* col, std::string_view prefix, int64_t n) {
+  if (col == nullptr) return;
   char buf[48];
   std::memcpy(buf, prefix.data(), prefix.size());
   char* end = std::to_chars(buf + prefix.size(), buf + sizeof(buf), n).ptr;
@@ -122,6 +141,10 @@ void AppendNumbered(Column* col, std::string_view prefix, int64_t n) {
 
 /// "NN-555-NNNN".
 void AppendPhone(Column* col, Random* rng) {
+  if (col == nullptr) {
+    rng->Skip(2);
+    return;
+  }
   const int64_t line = rng->NextInt(1000, 9999);
   const int64_t country = 10 + rng->NextInt(0, 24);
   char buf[] = "00-555-0000";
@@ -129,6 +152,33 @@ void AppendPhone(Column* col, Random* rng) {
   buf[1] = static_cast<char>('0' + country % 10);
   std::to_chars(buf + 7, buf + 11, line);
   AppendStr(col, std::string_view(buf, 11));
+}
+
+/// p_name, "<material> <8 letters>": the letters are drawn first.
+void AppendPartName(Column* col, Random* rng) {
+  if (col == nullptr) {
+    rng->Skip(8 + 1);  // the letters, then the material
+    return;
+  }
+  char letters[8];
+  rng->FillString(letters, 8);
+  std::string& name =
+      col->mutable_strings()->emplace_back(kMaterials[rng->NextInt(0, 4)]);
+  name += ' ';
+  name.append(letters, 8);
+}
+
+/// p_type, "<type> <material>": the material is drawn first.
+void AppendPartType(Column* col, Random* rng) {
+  if (col == nullptr) {
+    rng->Skip(2);
+    return;
+  }
+  const std::string_view material = kMaterials[rng->NextInt(0, 4)];
+  std::string& type =
+      col->mutable_strings()->emplace_back(kTypes[rng->NextInt(0, 5)]);
+  type += ' ';
+  type += material;
 }
 
 }  // namespace
@@ -268,14 +318,26 @@ Catalog MakeTpchCatalog(double scale_factor, int num_storage_nodes) {
 
 TpchSplitGenerator::TpchSplitGenerator(std::string table, double scale_factor,
                                        int split_index, int split_count,
-                                       int64_t batch_rows)
+                                       int64_t batch_rows,
+                                       std::vector<int> columns)
     : schema_(TpchSchema(table)),
       batch_rows_(batch_rows),
+      columns_(std::move(columns)),
       customers_(TpchRowCount("customer", scale_factor)),
       parts_(TpchRowCount("part", scale_factor)),
       suppliers_(TpchRowCount("supplier", scale_factor)) {
   ACC_CHECK(split_index >= 0 && split_index < split_count)
       << "bad split " << split_index << "/" << split_count;
+  const int num_channels = static_cast<int>(schema_.columns().size());
+  if (columns_.empty()) {
+    for (int ch = 0; ch < num_channels; ++ch) columns_.push_back(ch);
+  }
+  std::vector<bool> seen(static_cast<size_t>(num_channels), false);
+  for (int ch : columns_) {
+    ACC_CHECK(ch >= 0 && ch < num_channels && !seen[static_cast<size_t>(ch)])
+        << table << ": bad or repeated column channel " << ch;
+    seen[static_cast<size_t>(ch)] = true;
+  }
   static constexpr std::pair<std::string_view, FillFn> kFills[] = {
       {"nation", &TpchSplitGenerator::FillNation},
       {"region", &TpchSplitGenerator::FillRegion},
@@ -309,82 +371,73 @@ PagePtr TpchSplitGenerator::NextPage() {
   const int64_t rows = std::min(batch_rows_, remaining_rows_);
   if (rows <= 0) return nullptr;
   std::vector<Column> cols;
-  cols.reserve(schema_.columns().size());
-  for (const auto& def : schema_.columns()) {
-    cols.emplace_back(def.type).Reserve(rows);
+  cols.reserve(columns_.size());
+  for (int channel : columns_) {
+    cols.emplace_back(schema_.TypeOf(channel)).Reserve(rows);
   }
-  (this->*fill_)(cols.data(), rows);
+  std::vector<Column*> out(schema_.columns().size(), nullptr);
+  for (size_t i = 0; i < columns_.size(); ++i) out[columns_[i]] = &cols[i];
+  (this->*fill_)(out.data(), rows);
   remaining_rows_ -= rows;
   return Page::Make(std::move(cols));
 }
 
-void TpchSplitGenerator::FillNation(Column* cols, int64_t rows) {
+void TpchSplitGenerator::FillNation(Column* const* out, int64_t rows) {
   const int64_t first = cursor_;
   cursor_ += rows;
   for (int64_t i = first; i < first + rows; ++i) {
     Random rng = RowRng(kNationSeed, i);
-    cols[0].AppendInt(i);
-    AppendStr(&cols[1], kNationNames[i]);
-    cols[2].AppendInt(kNationRegion[i]);
-    AppendRandomStr(&cols[3], &rng, 20);
+    AppendInt(out[0], i);
+    AppendStr(out[1], kNationNames[i]);
+    AppendInt(out[2], kNationRegion[i]);
+    AppendRandomStr(out[3], &rng, 20);
   }
 }
 
-void TpchSplitGenerator::FillRegion(Column* cols, int64_t rows) {
+void TpchSplitGenerator::FillRegion(Column* const* out, int64_t rows) {
   const int64_t first = cursor_;
   cursor_ += rows;
   for (int64_t i = first; i < first + rows; ++i) {
     Random rng = RowRng(kRegionSeed, i);
-    cols[0].AppendInt(i);
-    AppendStr(&cols[1], kRegionNames[i]);
-    AppendRandomStr(&cols[2], &rng, 20);
+    AppendInt(out[0], i);
+    AppendStr(out[1], kRegionNames[i]);
+    AppendRandomStr(out[2], &rng, 20);
   }
 }
 
-void TpchSplitGenerator::FillSupplier(Column* cols, int64_t rows) {
+void TpchSplitGenerator::FillSupplier(Column* const* out, int64_t rows) {
   const int64_t first = cursor_ + 1;  // 1-based keys
   cursor_ += rows;
   for (int64_t key = first; key < first + rows; ++key) {
     Random rng = RowRng(kSupplierSeed, key);
-    cols[0].AppendInt(key);
-    AppendNumbered(&cols[1], "Supplier#", key);
-    AppendRandomStr(&cols[2], &rng, 15);
-    cols[3].AppendInt(rng.NextInt(0, 24));
-    AppendPhone(&cols[4], &rng);
-    cols[5].AppendDouble(rng.NextDouble() * 10000 - 1000);
-    AppendRandomStr(&cols[6], &rng, 25);
+    AppendInt(out[0], key);
+    AppendNumbered(out[1], "Supplier#", key);
+    AppendRandomStr(out[2], &rng, 15);
+    AppendInt(out[3], rng.NextInt(0, 24));
+    AppendPhone(out[4], &rng);
+    AppendDouble(out[5], rng.NextDouble() * 10000 - 1000);
+    AppendRandomStr(out[6], &rng, 25);
   }
 }
 
-void TpchSplitGenerator::FillPart(Column* cols, int64_t rows) {
+void TpchSplitGenerator::FillPart(Column* const* out, int64_t rows) {
   const int64_t first = cursor_ + 1;
   cursor_ += rows;
   for (int64_t key = first; key < first + rows; ++key) {
     Random rng = RowRng(kPartSeed, key);
-    cols[0].AppendInt(key);
-    // p_name is "<material> <8 letters>": the letters are drawn first.
-    char letters[8];
-    rng.FillString(letters, 8);
-    std::string& name =
-        cols[1].mutable_strings()->emplace_back(kMaterials[rng.NextInt(0, 4)]);
-    name += ' ';
-    name.append(letters, 8);
-    AppendNumbered(&cols[2], "Manufacturer#", rng.NextInt(1, 5));
-    AppendNumbered(&cols[3], "Brand#", rng.NextInt(11, 55));
-    // p_type is "<type> <material>": the material is drawn first.
-    const std::string_view material = kMaterials[rng.NextInt(0, 4)];
-    std::string& type =
-        cols[4].mutable_strings()->emplace_back(kTypes[rng.NextInt(0, 5)]);
-    type += ' ';
-    type += material;
-    cols[5].AppendInt(rng.NextInt(1, 50));
-    AppendStr(&cols[6], kContainers[rng.NextInt(0, 7)]);
-    cols[7].AppendDouble(PartRetailPrice(key));
-    AppendRandomStr(&cols[8], &rng, 15);
+    AppendInt(out[0], key);
+    AppendPartName(out[1], &rng);
+    AppendNumbered(out[2], "Manufacturer#", rng.NextInt(1, 5));
+    AppendNumbered(out[3], "Brand#", rng.NextInt(11, 55));
+    AppendPartType(out[4], &rng);
+    AppendInt(out[5], rng.NextInt(1, 50));
+    AppendStr(out[6], kContainers[rng.NextInt(0, 7)]);
+    AppendDouble(out[7], PartRetailPrice(key));
+    AppendRandomStr(out[8], &rng, 15);
   }
 }
 
-void TpchSplitGenerator::FillPartsupp(Column* cols, int64_t rows) {
+void TpchSplitGenerator::FillPartsupp(Column* const* out, int64_t rows) {
   const int64_t suppliers = suppliers_;
   const int64_t supplier_stride = suppliers / 4 + 1;
   const int64_t first = cursor_;
@@ -393,50 +446,50 @@ void TpchSplitGenerator::FillPartsupp(Column* cols, int64_t rows) {
     Random rng = RowRng(kPartsuppSeed, i);
     // 4 suppliers per part.
     const int64_t partkey = 1 + i / 4;
-    cols[0].AppendInt(partkey);
-    cols[1].AppendInt(1 + (partkey + (i % 4) * supplier_stride) % suppliers);
-    cols[2].AppendInt(rng.NextInt(1, 9999));
-    cols[3].AppendDouble(rng.NextDouble() * 1000 + 1);
-    AppendRandomStr(&cols[4], &rng, 20);
+    AppendInt(out[0], partkey);
+    AppendInt(out[1], 1 + (partkey + (i % 4) * supplier_stride) % suppliers);
+    AppendInt(out[2], rng.NextInt(1, 9999));
+    AppendDouble(out[3], rng.NextDouble() * 1000 + 1);
+    AppendRandomStr(out[4], &rng, 20);
   }
 }
 
-void TpchSplitGenerator::FillCustomer(Column* cols, int64_t rows) {
+void TpchSplitGenerator::FillCustomer(Column* const* out, int64_t rows) {
   const int64_t first = cursor_ + 1;
   cursor_ += rows;
   for (int64_t key = first; key < first + rows; ++key) {
     Random rng = RowRng(kCustomerSeed, key);
-    cols[0].AppendInt(key);
-    AppendNumbered(&cols[1], "Customer#", key);
-    AppendRandomStr(&cols[2], &rng, 15);
-    cols[3].AppendInt(rng.NextInt(0, 24));
-    AppendPhone(&cols[4], &rng);
-    cols[5].AppendDouble(rng.NextDouble() * 10000 - 1000);
-    AppendStr(&cols[6], kSegments[rng.NextInt(0, 4)]);
-    AppendRandomStr(&cols[7], &rng, 25);
+    AppendInt(out[0], key);
+    AppendNumbered(out[1], "Customer#", key);
+    AppendRandomStr(out[2], &rng, 15);
+    AppendInt(out[3], rng.NextInt(0, 24));
+    AppendPhone(out[4], &rng);
+    AppendDouble(out[5], rng.NextDouble() * 10000 - 1000);
+    AppendStr(out[6], kSegments[rng.NextInt(0, 4)]);
+    AppendRandomStr(out[7], &rng, 25);
   }
 }
 
-void TpchSplitGenerator::FillOrders(Column* cols, int64_t rows) {
+void TpchSplitGenerator::FillOrders(Column* const* out, int64_t rows) {
   const int64_t customers = customers_;
   const int64_t first = cursor_ + 1;
   cursor_ += rows;
   for (int64_t key = first; key < first + rows; ++key) {
     Random rng = RowRng(kOrdersSeed, key);
     const int64_t orderdate = DrawOrderDate(&rng);
-    cols[0].AppendInt(key);
-    cols[1].AppendInt(rng.NextInt(1, customers));
-    AppendStr(&cols[2], orderdate + 90 < kCurrentDate ? "F" : "O");
-    cols[3].AppendDouble(1000 + rng.NextDouble() * 450000);
-    cols[4].AppendInt(orderdate);
-    AppendStr(&cols[5], kPriorities[rng.NextInt(0, 4)]);
-    AppendNumbered(&cols[6], "Clerk#", rng.NextInt(1, 1000));
-    cols[7].AppendInt(0);
-    AppendRandomStr(&cols[8], &rng, 30);
+    AppendInt(out[0], key);
+    AppendInt(out[1], rng.NextInt(1, customers));
+    AppendStr(out[2], orderdate + 90 < kCurrentDate ? "F" : "O");
+    AppendDouble(out[3], 1000 + rng.NextDouble() * 450000);
+    AppendInt(out[4], orderdate);
+    AppendStr(out[5], kPriorities[rng.NextInt(0, 4)]);
+    AppendNumbered(out[6], "Clerk#", rng.NextInt(1, 1000));
+    AppendInt(out[7], 0);
+    AppendRandomStr(out[8], &rng, 30);
   }
 }
 
-void TpchSplitGenerator::FillLineitem(Column* cols, int64_t rows) {
+void TpchSplitGenerator::FillLineitem(Column* const* out, int64_t rows) {
   const int64_t parts = parts_;
   const int64_t suppliers = suppliers_;
   int64_t orderkey = cursor_;
@@ -460,24 +513,24 @@ void TpchSplitGenerator::FillLineitem(Column* cols, int64_t rows) {
     const int64_t shipdate = orderdate + rng.NextInt(1, 121);
     const int64_t commitdate = orderdate + rng.NextInt(30, 90);
     const int64_t receiptdate = shipdate + rng.NextInt(1, 30);
-    cols[0].AppendInt(orderkey);
-    cols[1].AppendInt(partkey);
-    cols[2].AppendInt(rng.NextInt(1, suppliers));
-    cols[3].AppendInt(line);
-    cols[4].AppendDouble(quantity);
-    cols[5].AppendDouble(quantity * PartRetailPrice(partkey));
-    cols[6].AppendDouble(0.01 * rng.NextInt(0, 10));
-    cols[7].AppendDouble(0.01 * rng.NextInt(0, 8));
-    AppendStr(&cols[8], receiptdate <= kCurrentDate
-                            ? (rng.NextInt(0, 1) ? "R" : "A")
-                            : "N");
-    AppendStr(&cols[9], shipdate > kCurrentDate ? "O" : "F");
-    cols[10].AppendInt(shipdate);
-    cols[11].AppendInt(commitdate);
-    cols[12].AppendInt(receiptdate);
-    AppendStr(&cols[13], kShipInstructs[rng.NextInt(0, 3)]);
-    AppendStr(&cols[14], kShipModes[rng.NextInt(0, 6)]);
-    AppendRandomStr(&cols[15], &rng, 20);
+    AppendInt(out[0], orderkey);
+    AppendInt(out[1], partkey);
+    AppendInt(out[2], rng.NextInt(1, suppliers));
+    AppendInt(out[3], line);
+    AppendDouble(out[4], quantity);
+    AppendDouble(out[5], quantity * PartRetailPrice(partkey));
+    AppendDouble(out[6], 0.01 * rng.NextInt(0, 10));
+    AppendDouble(out[7], 0.01 * rng.NextInt(0, 8));
+    AppendStr(out[8], receiptdate <= kCurrentDate
+                          ? (rng.NextInt(0, 1) ? "R" : "A")
+                          : "N");
+    AppendStr(out[9], shipdate > kCurrentDate ? "O" : "F");
+    AppendInt(out[10], shipdate);
+    AppendInt(out[11], commitdate);
+    AppendInt(out[12], receiptdate);
+    AppendStr(out[13], kShipInstructs[rng.NextInt(0, 3)]);
+    AppendStr(out[14], kShipModes[rng.NextInt(0, 6)]);
+    AppendRandomStr(out[15], &rng, 20);
   }
   cursor_ = orderkey;
   line_in_order_ = line;

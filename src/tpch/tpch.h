@@ -45,8 +45,13 @@ Catalog MakeTpchCatalog(double scale_factor, int num_storage_nodes);
 class TpchSplitGenerator {
  public:
   /// @param batch_rows  rows per produced page (the scan page size).
+  /// @param columns     table-schema channels to emit, in page order;
+  ///                    distinct. Empty emits the full schema. Every emitted
+  ///                    value, and every page boundary, equals the full
+  ///                    page's.
   TpchSplitGenerator(std::string table, double scale_factor, int split_index,
-                     int split_count, int64_t batch_rows = 1024);
+                     int split_count, int64_t batch_rows = 1024,
+                     std::vector<int> columns = {});
 
   /// Next page of rows, or nullptr when the split is exhausted.
   PagePtr NextPage();
@@ -54,23 +59,24 @@ class TpchSplitGenerator {
   /// Total rows this split will produce (exact).
   int64_t TotalRows() const { return total_rows_; }
 
-  const TableSchema& schema() const { return schema_; }
-
  private:
   // One fill loop per table, chosen at construction. Each appends exactly
-  // `rows` rows to the page's columns and advances the cursor.
-  using FillFn = void (TpchSplitGenerator::*)(Column* cols, int64_t rows);
-  void FillNation(Column* cols, int64_t rows);
-  void FillRegion(Column* cols, int64_t rows);
-  void FillSupplier(Column* cols, int64_t rows);
-  void FillPart(Column* cols, int64_t rows);
-  void FillPartsupp(Column* cols, int64_t rows);
-  void FillCustomer(Column* cols, int64_t rows);
-  void FillOrders(Column* cols, int64_t rows);
-  void FillLineitem(Column* cols, int64_t rows);
+  // `rows` rows to `out[channel]` for every requested schema channel
+  // (null for the others) and advances the cursor.
+  using FillFn = void (TpchSplitGenerator::*)(Column* const* out,
+                                              int64_t rows);
+  void FillNation(Column* const* out, int64_t rows);
+  void FillRegion(Column* const* out, int64_t rows);
+  void FillSupplier(Column* const* out, int64_t rows);
+  void FillPart(Column* const* out, int64_t rows);
+  void FillPartsupp(Column* const* out, int64_t rows);
+  void FillCustomer(Column* const* out, int64_t rows);
+  void FillOrders(Column* const* out, int64_t rows);
+  void FillLineitem(Column* const* out, int64_t rows);
 
   TableSchema schema_;
   int64_t batch_rows_;
+  std::vector<int> columns_;  // emitted schema channels, in page order
   FillFn fill_ = nullptr;
   // Foreign-key domains at this scale factor.
   int64_t customers_ = 0;

@@ -31,6 +31,9 @@ Status RequestFilter::Check(const std::string& query_id, int stage_id,
     return Status::FailedPrecondition(
         "stage contains stateful final operators; DOP pinned to 1");
   }
+  if (stage->has_unmatched_build_join) {
+    return Status::Unimplemented(kUnmatchedBuildSwitchMessage);
+  }
   if (requested_dop == stage->dop) {
     return Status::InvalidArgument("stage already runs at DOP " +
                                    std::to_string(requested_dop));

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "api/session.h"
 #include "cluster/cluster.h"
@@ -8,6 +10,7 @@
 #include "plan/builder.h"
 #include "tpch/queries.h"
 #include "tpch/tpch.h"
+#include "tuner/auto_tuner.h"
 
 namespace accordion {
 namespace {
@@ -203,6 +206,83 @@ TEST(ClusterTest, DopSwitchOnPartitionedJoinKeepsCountExact) {
 
   auto snapshot = cluster.coordinator()->Snapshot(*submitted);
   EXPECT_EQ(snapshot->stage(1)->dop, 4);
+}
+
+/// One run of `SELECT count(*), count(o.o_orderkey) FROM orders o <kind>
+/// JOIN customer c ...` at stage DOP 2 on a simulated cluster. Once 20% of
+/// the orders are scanned it asks the request filter, then the
+/// coordinator, to switch the join stage to DOP 4.
+struct JoinSwitchRun {
+  Status filter_status;
+  Status switch_status;
+  std::vector<int64_t> counts;  // count(*), count(o_orderkey)
+};
+
+JoinSwitchRun RunWithJoinSwitch(const std::string& kind) {
+  auto options = FastOptions();
+  options.engine.cost.scale = 1.0;  // slow enough to switch mid-scan
+  AccordionCluster cluster(options);
+  Session session(cluster.coordinator());
+  QueryOptions qopts;
+  qopts.stage_dop = 2;
+  JoinSwitchRun run;
+  auto query = session.Execute(
+      "SELECT count(*), count(o.o_orderkey) FROM orders o " + kind +
+          " JOIN customer c ON o.o_custkey = c.c_custkey",
+      qopts);
+  if (!query.ok()) {
+    ADD_FAILURE() << kind << ": " << query.status().ToString();
+    return run;
+  }
+  run.switch_status = Status::Internal("the scan ended before the switch");
+  const int64_t switch_at = TpchRowCount("orders", kSf) / 5;
+  while (!(*query)->Finished()) {
+    auto snapshot = (*query)->Snapshot();
+    if (!snapshot.ok()) break;
+    int join_stage = -1;
+    int64_t orders_scanned = 0;
+    for (const auto& stage : snapshot->stages) {
+      if (stage.has_join) join_stage = stage.stage_id;
+      if (stage.scan_table == "orders") orders_scanned = stage.scan_rows;
+    }
+    if (join_stage >= 0 && orders_scanned >= switch_at) {
+      AutoTuner tuner(cluster.coordinator());
+      run.filter_status = tuner.filter()->Check((*query)->id(), join_stage, 4);
+      run.switch_status = (*query)->SetStageDop(join_stage, 4);
+      break;
+    }
+    SleepForMillis(1);
+  }
+  auto result = (*query)->Wait(180000);
+  if (!result.ok()) {
+    ADD_FAILURE() << kind << ": " << result.status().ToString();
+    return run;
+  }
+  for (const auto& page : *result) {
+    for (int64_t r = 0; r < page->num_rows(); ++r) {
+      run.counts.push_back(page->column(0).IntAt(r));
+      run.counts.push_back(page->column(1).IntAt(r));
+    }
+  }
+  return run;
+}
+
+TEST(ClusterTest, OuterBuildJoinStageSwitchIsRejectedAndExact) {
+  // Every customer has orders, so no row is NULL-extended. A right/full
+  // join drains unmatched build rows per task group; switching its stage
+  // DOP would emit customers the other group matched, so it is refused.
+  const std::vector<int64_t> exact = {15000, 15000};
+  for (const char* kind : {"RIGHT", "FULL"}) {
+    JoinSwitchRun run = RunWithJoinSwitch(kind);
+    EXPECT_EQ(run.filter_status.code(), StatusCode::kUnimplemented) << kind;
+    EXPECT_EQ(run.switch_status.code(), StatusCode::kUnimplemented)
+        << kind << ": " << run.switch_status.ToString();
+    EXPECT_EQ(run.counts, exact) << kind;
+  }
+  // A left join drains no build rows: its switch runs and stays exact.
+  JoinSwitchRun left = RunWithJoinSwitch("LEFT");
+  EXPECT_TRUE(left.switch_status.ok()) << left.switch_status.ToString();
+  EXPECT_EQ(left.counts, exact);
 }
 
 TEST(ClusterTest, FinalStageDopChangeIsRejected) {

@@ -182,6 +182,17 @@ TEST(RandomTest, IntBoundsInclusive) {
   EXPECT_TRUE(saw_hi);
 }
 
+TEST(RandomTest, SkipEqualsDraws) {
+  for (uint64_t n : {0, 1, 15, 1000}) {
+    Random drawn(42), skipped(42);
+    for (uint64_t i = 0; i < n; ++i) drawn.NextUint64();
+    skipped.Skip(n);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(skipped.NextUint64(), drawn.NextUint64()) << "n " << n;
+    }
+  }
+}
+
 TEST(RandomTest, StringLengthAndAlphabet) {
   Random rng(1);
   std::string s = rng.NextString(12);

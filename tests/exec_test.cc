@@ -28,10 +28,11 @@ struct TestEnv {
   TaskApis ApisFor(double sf = 0.01) {
     TaskApis apis;
     apis.next_split = [] { return std::optional<SystemSplit>{}; };
-    apis.open_split = [sf](const SystemSplit& split) {
+    apis.open_split = [sf](const SystemSplit& split,
+                           const std::vector<int>& columns) {
       return std::make_unique<GeneratorPageSource>(
           split.table, split.scale_factor, split.split_index,
-          split.split_count, 256);
+          split.split_count, 256, columns);
     };
     apis.fetch_pages = [](const RemoteSplit&, int, int64_t, int,
                           int64_t*) -> Result<PagesResult> {

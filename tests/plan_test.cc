@@ -26,6 +26,15 @@ TEST(PlanBuilderTest, ScanPrunesColumns) {
   EXPECT_EQ(rel.node->output_types().size(), 2u);
   EXPECT_EQ(rel.TypeOf("o_orderdate"), DataType::kDate);
   EXPECT_EQ(rel.Ch("o_orderkey"), 0);
+
+  // The scan node itself carries the column list: no pruning Project.
+  auto lineitem = b.Scan("lineitem", {"l_shipdate", "l_orderkey"});
+  ASSERT_EQ(lineitem.node->kind(), PlanNodeKind::kTableScan);
+  const auto& scan = static_cast<const TableScanNode&>(*lineitem.node);
+  EXPECT_EQ(scan.columns(), (std::vector<int>{10, 0}));
+  EXPECT_EQ(scan.output_types(),
+            (std::vector<DataType>{DataType::kDate, DataType::kInt64}));
+  EXPECT_DEATH(b.Scan("lineitem", {"l_orderkey", "l_orderkey"}), "twice");
 }
 
 TEST(PlanBuilderTest, FullScanIsIdentity) {

@@ -116,12 +116,19 @@ class ReferenceEvaluator {
   RefRelation EvalScan(const TableScanNode& scan) {
     RefRelation out;
     out.types = scan.output_types();
+    // Full-schema pages, then the scan's columns: the engine's projecting
+    // data source is compared against full generation.
     for (const auto& page : GenerateSplit(scan.table(), sf_, 0, 1, 4096)) {
       // Same content-keyed nullification the engine's storage layer
       // applies under EngineConfig::null_injection_rate.
       PagePtr data = InjectNulls(page, null_rate_, null_seed_);
       for (int64_t r = 0; r < data->num_rows(); ++r) {
-        out.rows.push_back(RowOf(*data, r));
+        std::vector<Value> row;
+        row.reserve(scan.columns().size());
+        for (int ch : scan.columns()) {
+          row.push_back(data->column(ch).ValueAt(r));
+        }
+        out.rows.push_back(std::move(row));
       }
     }
     return out;

@@ -3,10 +3,15 @@
 #include <cstdio>
 #include <cstring>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "catalog/catalog.h"
+#include "sql/analyzer.h"
 #include "storage/csv.h"
 #include "storage/page_source.h"
+#include "tpch/queries.h"
 #include "tpch/tpch.h"
 
 namespace accordion {
@@ -246,6 +251,83 @@ TEST(TpchTest, PagesMatchRecordedDigests) {
     EXPECT_EQ(digest.Hex(), shape.digest)
         << shape.table << " sf " << shape.sf << " split " << shape.split
         << "/" << shape.count << " batch " << shape.batch;
+  }
+}
+
+/// Column list of every base-table scan in `node`'s plan tree.
+void CollectScans(const PlanNode& node,
+                  std::set<std::pair<std::string, std::vector<int>>>* out) {
+  if (node.kind() == PlanNodeKind::kTableScan) {
+    const auto& scan = static_cast<const TableScanNode&>(node);
+    out->emplace(scan.table(), scan.columns());
+  }
+  for (const auto& child : node.children()) CollectScans(*child, out);
+}
+
+TEST(TpchTest, ProjectedPagesMatchFullPages) {
+  // Over the shapes of PagesMatchRecordedDigests: a page generated for a
+  // column list equals the full page's columns in that order, so skipping
+  // an unread column's draws leaves every kept value, page boundary and
+  // ByteSize unchanged. The column lists: each single column, every list
+  // the 12 TPC-H queries and Q2J scan, and the full schema reversed.
+  Catalog catalog = MakeTpchCatalog(kSf, 4);
+  std::set<std::pair<std::string, std::vector<int>>> lists;
+  for (int q = 1; q <= 12; ++q) {
+    auto plan = SqlToPlan(TpchQuerySql(q), catalog);
+    ASSERT_TRUE(plan.ok()) << "Q" << q << ": " << plan.status().ToString();
+    CollectScans(**plan, &lists);
+  }
+  CollectScans(*TpchQ2JPlan(catalog), &lists);
+  EXPECT_GE(lists.size(), 20u);
+  for (const std::string& table : TpchTableNames()) {
+    const int width = static_cast<int>(TpchSchema(table).columns().size());
+    std::vector<int> reversed;
+    for (int ch = width - 1; ch >= 0; --ch) {
+      lists.emplace(table, std::vector<int>{ch});
+      reversed.push_back(ch);
+    }
+    lists.emplace(table, reversed);
+  }
+
+  struct Shape {
+    std::string table;
+    double sf;
+    int split;
+    int count;
+    int64_t batch;
+  };
+  std::vector<Shape> shapes;
+  for (const std::string& table : TpchTableNames()) {
+    shapes.push_back({table, 0.01, 0, 1, 4096});
+    shapes.push_back({table, 0.01, 1, 3, 1});
+    shapes.push_back({table, 0.01, 5, 14, 256});
+  }
+  shapes.push_back({"lineitem", 0.1, 5, 14, 256});
+  shapes.push_back({"orders", 0.1, 5, 14, 256});
+
+  for (const Shape& shape : shapes) {
+    const std::vector<PagePtr> full = GenerateSplit(
+        shape.table, shape.sf, shape.split, shape.count, shape.batch);
+    for (const auto& [table, columns] : lists) {
+      if (table != shape.table) continue;
+      TpchSplitGenerator gen(shape.table, shape.sf, shape.split, shape.count,
+                             shape.batch, columns);
+      size_t p = 0;
+      while (PagePtr page = gen.NextPage()) {
+        ASSERT_LT(p, full.size()) << shape.table;
+        std::vector<ColumnPtr> expect;
+        for (int ch : columns) expect.push_back(full[p]->shared_column(ch));
+        PageDigest got, want;
+        got.Add(*page);
+        want.Add(*Page::MakeShared(std::move(expect)));
+        ASSERT_EQ(got.Hex(), want.Hex())
+            << shape.table << " sf " << shape.sf << " split " << shape.split
+            << "/" << shape.count << " batch " << shape.batch << " page "
+            << p << " columns " << columns.size();
+        ++p;
+      }
+      EXPECT_EQ(p, full.size()) << shape.table;
+    }
   }
 }
 
