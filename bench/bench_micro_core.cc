@@ -200,18 +200,11 @@ void BM_JoinBuildSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_JoinBuildSweep)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 24);
 
-// Probe-only sweep, scalar vs SIMD kernel (arg 1), straight through
-// HashTable::FindJoinBatch. The table and its CSR match spans are built
-// once OUTSIDE the timed loop; each iteration probes 1M rows against it,
-// so ns/row here is pure probe cost.
+// Probe-only sweep straight through HashTable::FindJoinBatch. The table
+// and its CSR match spans are built once OUTSIDE the timed loop; each
+// iteration probes 1M rows against it, so ns/row here is pure probe cost.
 void BM_JoinProbeSweep(benchmark::State& state) {
   const int64_t build_keys = state.range(0);
-  const bool simd = state.range(1) == 1;
-  state.SetLabel(simd ? "simd" : "scalar");
-  if (simd && !HashTable::SimdSupported()) {
-    state.SkipWithError("AVX2 unavailable on this host");
-    return;
-  }
   const int64_t cap = BenchMaxBuildKeys();
   if (cap > 0 && build_keys > cap) {
     state.SkipWithError("build size over ACCORDION_BENCH_MAX_BUILD_KEYS");
@@ -243,7 +236,7 @@ void BM_JoinProbeSweep(benchmark::State& state) {
       probe_rows.clear();
       build_rows.clear();
       table.FindJoinBatch(*page, {0}, offsets.data(), span_rows.data(),
-                          &probe_rows, &build_rows, simd);
+                          &probe_rows, &build_rows);
       matches += static_cast<int64_t>(probe_rows.size());
     }
     benchmark::DoNotOptimize(matches);
@@ -251,8 +244,7 @@ void BM_JoinProbeSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kMicroRows);
   state.counters["build_keys"] = static_cast<double>(build_keys);
 }
-BENCHMARK(BM_JoinProbeSweep)
-    ->ArgsProduct({{1 << 16, 1 << 20, 1 << 24}, {0, 1}});
+BENCHMARK(BM_JoinProbeSweep)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 24);
 
 void BM_TpchGenerate(benchmark::State& state) {
   for (auto _ : state) {

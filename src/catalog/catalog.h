@@ -65,8 +65,8 @@ struct ColumnStats {
 };
 
 /// Per-table statistics, parallel to the schema's column order. Collected
-/// once at load time (CSV ingest or TPC-H catalog bootstrap) and consumed
-/// by the cost-based optimizer.
+/// once at load time (the TPC-H catalog bootstrap) and consumed by the
+/// cost-based optimizer and by StageSnapshot::scan_total_rows.
 struct TableStats {
   int64_t row_count = 0;
   std::vector<ColumnStats> columns;  // one per schema column

@@ -849,6 +849,10 @@ Result<QuerySnapshot> Coordinator::Snapshot(const std::string& query_id) {
     s.dop = stage.dop;
     s.last_state_transfer_seconds = stage.last_state_transfer_seconds;
     s.hash_tables_built = stage.fragment.has_join;
+    // Non-scan stages have an empty scan_table, hence no statistics.
+    if (const TableStats* stats = catalog_.GetStats(s.scan_table)) {
+      s.scan_total_rows = stats->row_count;
+    }
 
     bool all_finished = true;
     auto absorb = [&](const TaskId& id, int worker, bool active) {
@@ -858,16 +862,10 @@ Result<QuerySnapshot> Coordinator::Snapshot(const std::string& query_id) {
       snapshot.peak_build_bytes += info->peak_build_bytes;
       snapshot.spill_bytes_written += info->spill_bytes_written;
       snapshot.spill_partitions += info->spill_partitions;
-      if (info->probe_path == 2) {
-        snapshot.probe_path = "simd";
-      } else if (info->probe_path == 1 && snapshot.probe_path != "simd") {
-        snapshot.probe_path = "scalar";
-      }
       s.output_rows += info->output_rows;
       s.output_bytes += info->output_bytes;
       s.processed_rows += info->processed_rows;
       s.scan_rows += info->scan_rows;
-      s.scan_total_rows += info->scan_total_rows;
       s.turn_ups += info->turn_up_counter;
       s.hash_build_us_max =
           std::max(s.hash_build_us_max, info->hash_build_micros);

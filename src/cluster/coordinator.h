@@ -83,6 +83,8 @@ struct StageSnapshot {
   int64_t output_bytes = 0;
   int64_t processed_rows = 0;  // across active AND retired tasks
   int64_t scan_rows = 0;
+  /// Scan stages: the scanned table's exact row count from the catalog's
+  /// statistics (0 without statistics, and for other stages).
   int64_t scan_total_rows = 0;
   int64_t turn_ups = 0;
   int64_t hash_build_us_max = 0;
@@ -124,9 +126,6 @@ struct QuerySnapshot {
   int64_t spill_bytes_written = 0;
   /// Spill partition files created (0 when no join spilled).
   int64_t spill_partitions = 0;
-  /// Probe kernel used: "simd" if any join probed vectorized, "scalar" if
-  /// joins probed scalar only, "" when the query had no hash-join probes.
-  std::string probe_path;
 
   std::vector<StageSnapshot> stages;
 
@@ -211,7 +210,6 @@ class Coordinator {
   Result<QuerySnapshot> Snapshot(const std::string& query_id);
   int64_t total_rpc_requests() const { return bus_->total_requests(); }
   const Catalog& catalog() const { return catalog_; }
-  double scale_factor() const { return scale_factor_; }
 
  private:
   struct StageExec {

@@ -27,8 +27,6 @@ class NicChargingPageSource : public PageSource {
     return page;
   }
 
-  int64_t TotalRows() const override { return inner_->TotalRows(); }
-
  private:
   std::unique_ptr<PageSource> inner_;
   Pacer* storage_;

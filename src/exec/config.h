@@ -47,8 +47,8 @@ struct MemoryConfig {
 };
 
 /// Hash-join shape knobs: the radix-partitioned build threshold and
-/// grace-spill partitioning. The probe kernel (AVX2 or scalar) follows
-/// the CPU.
+/// grace-spill partitioning. Every shape probes with the one scalar batch
+/// loop (HashTable::FindJoinBatch / FindJoinHashed).
 struct JoinConfig {
   /// Build-row count at which an in-memory join build switches from one
   /// flat table to radix-partitioned cache-sized tables (0 disables the

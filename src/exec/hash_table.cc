@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "exec/simd_probe.h"
 #include "vector/hashing.h"
 
 namespace accordion {
@@ -74,14 +73,7 @@ void ExpandSpans(const int64_t* ids, int64_t n, const int64_t* span_offsets,
 
 }  // namespace
 
-bool HashTable::SimdSupported() { return simd::Avx2Supported(); }
-
-void HashTable::HashWords(const int64_t* words, int64_t n, uint64_t* hashes,
-                          bool allow_simd) {
-  if (allow_simd && simd::Avx2Supported()) {
-    simd::HashWordsAvx2(words, n, Page::kHashSeed, hashes);
-    return;
-  }
+void HashTable::HashWords(const int64_t* words, int64_t n, uint64_t* hashes) {
   for (int64_t i = 0; i < n; ++i) {
     hashes[i] = Mix64(static_cast<uint64_t>(words[i]) ^ Page::kHashSeed);
   }
@@ -123,11 +115,7 @@ void HashTable::PrepareBatch(const std::vector<const Column*>& keys,
       return;
     }
     scratch->hashes.resize(static_cast<size_t>(num_rows));
-    uint64_t* h = scratch->hashes.data();
-    const int64_t* k = scratch->words_data;
-    for (int64_t i = 0; i < num_rows; ++i) {
-      h[i] = Mix64(static_cast<uint64_t>(k[i]) ^ Page::kHashSeed);
-    }
+    HashWords(scratch->words_data, num_rows, scratch->hashes.data());
     scratch->hashes_data = scratch->hashes.data();
     return;
   }
@@ -376,33 +364,51 @@ void HashTable::FindBatch(const Scratch& scratch, int64_t num_rows,
   int64_t* out = ids->data();
   if (word_mode_) {
     // Single-word keys: the slot comparison is the full equality check —
-    // one random access per row, everything else in registers.
+    // one random access per row, everything else in registers. The first
+    // pass settles each row at its home slot without branching on the
+    // outcome, which mispredicts often when hits and misses mix: an empty
+    // slot's id is -1, so "tag == word ? id : -1" is exact for a hit and
+    // for a miss ending there, whatever the key. Rows whose home slot holds
+    // another key finish the linear probe in a second pass.
     const Slot* slots = slots_.data();
     const int64_t* words = scratch.words_data;
     const uint64_t* hashes = scratch.hashes_data;
-    const uint8_t* valid = scratch.valid_data;
     const uint64_t mask = mask_;
+    static thread_local std::vector<int64_t> collided;
+    collided.resize(static_cast<size_t>(num_rows));
+    int64_t num_collided = 0;
     for (int64_t i = 0; i < num_rows; ++i) {
       if (i + kPrefetchDistance < num_rows) {
         __builtin_prefetch(&slots[hashes[i + kPrefetchDistance] & mask]);
       }
-      if (valid != nullptr && valid[i] == 0) {
-        out[i] = null_group_id_;  // -1 (miss) until a NULL key was inserted
-        continue;
-      }
+      const Slot& slot = slots[hashes[i] & mask];
+      const int64_t id = slot.id;  // loaded up front so the select is a cmov
+      const bool hit = slot.tag == static_cast<uint64_t>(words[i]);
+      out[i] = hit ? id : kEmptyId;
+      collided[num_collided] = i;
+      num_collided += !hit & (id != kEmptyId);
+    }
+    for (int64_t k = 0; k < num_collided; ++k) {
+      const int64_t i = collided[k];
       const uint64_t w = static_cast<uint64_t>(words[i]);
       uint64_t pos = hashes[i] & mask;
       int64_t found = -1;
       while (true) {
+        pos = (pos + 1) & mask;
         const Slot& slot = slots[pos];
         if (slot.id == kEmptyId) break;
         if (slot.tag == w) {
           found = slot.id;
           break;
         }
-        pos = (pos + 1) & mask;
       }
       out[i] = found;
+    }
+    if (const uint8_t* valid = scratch.valid_data) {
+      // A NULL key finds the NULL group: -1 (miss) until one was inserted.
+      for (int64_t i = 0; i < num_rows; ++i) {
+        if (valid[i] == 0) out[i] = null_group_id_;
+      }
     }
     return;
   }
@@ -559,43 +565,12 @@ void HashTable::FindJoin(const Page& page, const std::vector<int>& channels,
   }
 }
 
-void HashTable::FindIds(const int64_t* words, const uint64_t* hashes,
-                        int64_t n, int64_t* ids, bool use_simd) const {
-  ACC_CHECK(word_mode_) << "FindIds requires a single fixed-width key";
-  if (use_simd && SimdSupported()) {
-    static_assert(sizeof(Slot) == 16, "AVX2 gather assumes 16-byte slots");
-    simd::FindIdsAvx2(slots_.data(), mask_, words, hashes, n, ids);
-    return;
-  }
-  const Slot* slots = slots_.data();
-  const uint64_t mask = mask_;
-  for (int64_t i = 0; i < n; ++i) {
-    if (i + kPrefetchDistance < n) {
-      __builtin_prefetch(&slots[hashes[i + kPrefetchDistance] & mask]);
-    }
-    const uint64_t w = static_cast<uint64_t>(words[i]);
-    uint64_t pos = hashes[i] & mask;
-    int64_t found = -1;
-    while (true) {
-      const Slot& slot = slots[pos];
-      if (slot.id == kEmptyId) break;
-      if (slot.tag == w) {
-        found = slot.id;
-        break;
-      }
-      pos = (pos + 1) & mask;
-    }
-    ids[i] = found;
-  }
-}
-
 void HashTable::FindJoinBatch(const Page& page,
                               const std::vector<int>& channels,
                               const int64_t* span_offsets,
                               const int64_t* span_rows,
                               std::vector<int32_t>* probe_rows,
-                              std::vector<int64_t>* build_rows,
-                              bool allow_simd) const {
+                              std::vector<int64_t>* build_rows) const {
   const int64_t num_rows = page.num_rows();
   if (num_key_cols_ == 0) {
     // Degenerate cross-match on the single keyless group.
@@ -614,35 +589,14 @@ void HashTable::FindJoinBatch(const Page& page,
   for (int ch : channels) keys.push_back(&page.column(ch));
   static thread_local Scratch scratch;
   static thread_local std::vector<int64_t> ids;
-  ids.resize(static_cast<size_t>(num_rows));
-  if (word_mode_) {
-    const bool use_simd = allow_simd && SimdSupported();
-    // Alias the (pre-sized) hash buffer as "external" so PrepareBatch
-    // only sets up the key words, then hash with the vectorized Mix64.
-    scratch.hashes.resize(static_cast<size_t>(num_rows));
-    PrepareBatch(keys, num_rows, &scratch, scratch.hashes.data());
-    HashWords(scratch.words_data, num_rows, scratch.hashes.data(), use_simd);
-    FindIds(scratch.words_data, scratch.hashes.data(), num_rows, ids.data(),
-            use_simd);
-    if (scratch.valid_data != nullptr) {
-      // NULL probe keys carry a zeroed payload word and would otherwise
-      // match a genuine 0 key; patch them to misses after the batch kernel
-      // so the SIMD path stays branch-free.
-      const uint8_t* valid = scratch.valid_data;
-      for (int64_t i = 0; i < num_rows; ++i) {
-        if (valid[i] == 0) ids[i] = -1;
-      }
-    }
-  } else {
-    PrepareBatch(keys, num_rows, &scratch);
-    FindBatch(scratch, num_rows, &ids);
-    if (scratch.valid_data != nullptr) {
-      // FindBatch uses group equality (a NULL tuple finds the NULL-tuple
-      // key); joins must treat those rows as misses.
-      const uint8_t* valid = scratch.valid_data;
-      for (int64_t i = 0; i < num_rows; ++i) {
-        if (valid[i] == 0) ids[i] = -1;
-      }
+  PrepareBatch(keys, num_rows, &scratch);
+  FindBatch(scratch, num_rows, &ids);
+  if (scratch.valid_data != nullptr) {
+    // FindBatch uses group equality (a NULL key finds the NULL group);
+    // joins must treat those rows as misses.
+    const uint8_t* valid = scratch.valid_data;
+    for (int64_t i = 0; i < num_rows; ++i) {
+      if (valid[i] == 0) ids[i] = -1;
     }
   }
   ExpandSpans(ids.data(), num_rows, span_offsets, span_rows,
@@ -654,12 +608,14 @@ void HashTable::FindJoinHashed(const int64_t* words, const uint64_t* hashes,
                                const int64_t* span_rows,
                                const int32_t* row_map,
                                std::vector<int32_t>* probe_rows,
-                               std::vector<int64_t>* build_rows,
-                               bool allow_simd) const {
+                               std::vector<int64_t>* build_rows) const {
+  ACC_CHECK(word_mode_) << "FindJoinHashed requires a single fixed-width key";
   if (n == 0) return;
+  Scratch scratch;  // aliases the caller's arrays; owns nothing
+  scratch.words_data = words;
+  scratch.hashes_data = hashes;
   static thread_local std::vector<int64_t> ids;
-  ids.resize(static_cast<size_t>(n));
-  FindIds(words, hashes, n, ids.data(), allow_simd && SimdSupported());
+  FindBatch(scratch, n, &ids);
   ExpandSpans(ids.data(), n, span_offsets, span_rows, row_map, probe_rows,
               build_rows);
 }

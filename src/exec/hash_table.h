@@ -57,13 +57,7 @@ namespace accordion {
 /// columns, so aggregation no longer keeps a Value vector per group.
 class HashTable {
  public:
-  /// Probe kernel used by FindJoinBatch/FindJoinHashed.
-  enum class ProbePath { kScalar, kSimd };
-
   explicit HashTable(std::vector<DataType> key_types);
-
-  /// True when the CPU has AVX2 (cached runtime check).
-  static bool SimdSupported();
 
   /// Selects `types[ch]` for each channel — the key-type derivation
   /// shared by the aggregation and join consumers of this table.
@@ -117,41 +111,33 @@ class HashTable {
                 std::vector<int32_t>* probe_rows,
                 std::vector<int64_t>* build_rows) const;
 
-  /// Batched join probe: resolves the whole page to ids first (AVX2
-  /// vectorized Mix64 + gathered slot compares for single fixed-width
-  /// keys, scalar otherwise), then sizes the output arrays once from the
-  /// CSR span lengths and fills match pairs with raw stores — no per-row
-  /// push_back capacity checks. Output and match order are identical to
-  /// FindJoin. `allow_simd` false forces the scalar kernel (tests,
-  /// benches). Thread-safe like Find.
+  /// Batched join probe: resolves the whole page to ids first (the
+  /// FindBatch pass Find uses, with NULL-key rows turned into misses),
+  /// then sizes the output arrays once from the CSR span lengths and
+  /// fills match pairs with raw stores — no per-row push_back capacity
+  /// checks. Output and match order are identical to FindJoin.
+  /// Thread-safe like Find.
   void FindJoinBatch(const Page& page, const std::vector<int>& channels,
                      const int64_t* span_offsets, const int64_t* span_rows,
                      std::vector<int32_t>* probe_rows,
-                     std::vector<int64_t>* build_rows,
-                     bool allow_simd = true) const;
+                     std::vector<int64_t>* build_rows) const;
 
   /// Word-mode probe over pre-gathered key words and their hashes (the
-  /// radix-partitioned and spill join paths hash once to pick partitions
-  /// and probe partition tables with gathered subsets). `row_map` maps
-  /// local row i to the probe-page row written to `probe_rows` (nullptr:
-  /// identity). Requires a single fixed-width key column.
+  /// radix-partitioned join hashes once to pick partitions and probes
+  /// each partition table with its gathered subset). Runs FindBatch's
+  /// word loop over the caller's arrays. The words carry no validity, so
+  /// callers drop NULL-key rows first. `row_map` maps local row i to the
+  /// probe-page row written to `probe_rows` (nullptr: identity). Requires
+  /// a single fixed-width key column.
   void FindJoinHashed(const int64_t* words, const uint64_t* hashes, int64_t n,
                       const int64_t* span_offsets, const int64_t* span_rows,
                       const int32_t* row_map,
                       std::vector<int32_t>* probe_rows,
-                      std::vector<int64_t>* build_rows,
-                      bool allow_simd = true) const;
-
-  /// The kernel FindJoinBatch will use for this table's key layout.
-  ProbePath probe_path(bool allow_simd = true) const {
-    return (word_mode_ && allow_simd && SimdSupported()) ? ProbePath::kSimd
-                                                         : ProbePath::kScalar;
-  }
+                      std::vector<int64_t>* build_rows) const;
 
   /// Mix64(word ^ Page::kHashSeed) for a batch — bit-identical to
-  /// Column::HashInto over one integer column; AVX2 when available.
-  static void HashWords(const int64_t* words, int64_t n, uint64_t* hashes,
-                        bool allow_simd = true);
+  /// Column::HashInto over one non-NULL fixed-width column.
+  static void HashWords(const int64_t* words, int64_t n, uint64_t* hashes);
 
   /// Appends the canonical key values of ids [begin, end) to `out`:
   /// key column k is appended to (*out)[k]. Used to emit group-by keys
@@ -205,9 +191,6 @@ class HashTable {
                    std::vector<int64_t>* ids);
   void FindBatch(const Scratch& scratch, int64_t num_rows,
                  std::vector<int64_t>* ids) const;
-  /// Word-mode id resolution into a raw array, scalar or AVX2.
-  void FindIds(const int64_t* words, const uint64_t* hashes, int64_t n,
-               int64_t* ids, bool use_simd) const;
   bool KeyEquals(int64_t id, const Scratch& scratch, int64_t row) const;
   void InsertKey(const Scratch& scratch, int64_t row);
   void Grow();

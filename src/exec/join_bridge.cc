@@ -90,12 +90,6 @@ void JoinBridge::TrackBuildBytes(int64_t delta) {
   if (task_ctx_ != nullptr) task_ctx_->AddBuildBytes(delta);
 }
 
-void JoinBridge::RecordProbePath(bool simd) {
-  if (task_ctx_ == nullptr) return;
-  if (probe_path_recorded_.exchange(true)) return;
-  task_ctx_->RecordProbePath(simd);
-}
-
 void JoinBridge::HashKeys(const std::vector<const Column*>& keys,
                           int64_t num_rows,
                           std::vector<uint64_t>* hashes) const {
@@ -386,7 +380,6 @@ Status JoinBridge::Probe(const Page& probe, const std::vector<int>& probe_keys,
   const size_t pairs_before = build_rows->size();
   if (mode_ == Mode::kFlat) {
     const PartitionIndex& part = *partitions_[0];
-    RecordProbePath(part.table.probe_path() == HashTable::ProbePath::kSimd);
     part.table.FindJoinBatch(probe, probe_keys, part.offsets.data(),
                              part.rows.data(), probe_rows, build_rows);
     if (build_matched_bits_ != nullptr) {
@@ -408,9 +401,8 @@ Status JoinBridge::Probe(const Page& probe, const std::vector<int>& probe_keys,
     radix_->BuildSelections(hashes.data(), n, &selections);
     if (key_col.may_have_nulls()) {
       // FindJoinHashed probes raw key words with no validity channel; a
-      // NULL row's zeroed payload would match a genuine 0 key. NULL probe
-      // keys match nothing, so drop them before the partition probes (all
-      // NULLs share the sentinel hash, so only one partition has any).
+      // NULL row's payload word could match a genuine key. NULL probe
+      // keys match nothing, so drop them before the partition probes.
       const uint8_t* valid = key_col.validity().data();
       for (auto& sel : selections) {
         sel.erase(std::remove_if(
@@ -419,8 +411,6 @@ Status JoinBridge::Probe(const Page& probe, const std::vector<int>& probe_keys,
                   sel.end());
       }
     }
-    RecordProbePath(partitions_[0]->table.probe_path() ==
-                    HashTable::ProbePath::kSimd);
     thread_local std::vector<int64_t> part_words;
     thread_local std::vector<uint64_t> part_hashes;
     for (int p = 0; p < radix_->num_partitions(); ++p) {
@@ -877,8 +867,6 @@ Status JoinBridge::DrainLoadChunk() {
                            chunk_index_->rows.size()) *
           8;
   TrackBuildBytes(chunk_tracked_bytes_);
-  RecordProbePath(chunk_index_->table.probe_path() ==
-                  HashTable::ProbePath::kSimd);
   return Status::OK();
 }
 

@@ -29,8 +29,8 @@ class TaskContext;
 ///
 ///   1. kFlat — one open-addressing HashTable plus a CSR match list:
 ///      `rows_[offsets_[id] .. offsets_[id+1])` are the build rows of key
-///      `id`. Probes go through HashTable::FindJoinBatch (AVX2 batch
-///      kernel for single fixed-width keys, scalar otherwise).
+///      `id`. Probes go through HashTable::FindJoinBatch, one scalar
+///      batch loop for every key layout.
 ///   2. kRadix — past JoinConfig::radix_min_build_rows (single
 ///      fixed-width key only), the build splits by the TOP bits of the
 ///      key hash into 2^bits cache-sized partition tables (reusing
@@ -168,7 +168,6 @@ class JoinBridge {
 
   int64_t budget_bytes() const;
   void TrackBuildBytes(int64_t delta);
-  void RecordProbePath(bool simd);
 
   /// Which sides of the variant the drain must resolve.
   bool needs_build_drain() const {
@@ -278,7 +277,6 @@ class JoinBridge {
   std::atomic<int> probe_drivers_{0};
   std::atomic<bool> built_{false};
   std::atomic<bool> spilled_{false};
-  std::atomic<bool> probe_path_recorded_{false};
   std::atomic<int64_t> build_index_us_{0};
 };
 

@@ -35,9 +35,6 @@ class TableScanOperator : public Operator {
         std::optional<SystemSplit> split = next_split_();
         if (!split.has_value()) return EmitEnd();
         source_ = open_split_(*split, columns_);
-        if (source_ != nullptr && source_->TotalRows() >= 0) {
-          task_ctx_->AddScanTotalRows(source_->TotalRows());
-        }
         continue;
       }
       PagePtr page = source_->Next();

@@ -264,7 +264,6 @@ TaskInfo Task::Info() {
   info.output_rows = task_ctx_.output_rows();
   info.output_bytes = task_ctx_.output_bytes();
   info.scan_rows = task_ctx_.scan_rows();
-  info.scan_total_rows = task_ctx_.scan_total_rows();
   info.processed_rows = task_ctx_.processed_rows();
   info.turn_up_counter = task_ctx_.turn_up_counter();
   info.hash_build_micros = task_ctx_.hash_build_micros();
@@ -272,7 +271,6 @@ TaskInfo Task::Info() {
   info.peak_build_bytes = task_ctx_.peak_build_bytes();
   info.spill_bytes_written = task_ctx_.spill_bytes_written();
   info.spill_partitions = task_ctx_.spill_partitions();
-  info.probe_path = task_ctx_.probe_path();
   if (const Pacer* pacer = task_ctx_.pacer()) {
     info.cpu_utilization = pacer->cpu().Utilization();
     info.nic_utilization = pacer->nic().Utilization();

@@ -72,22 +72,10 @@ class TaskContext {
   int64_t spill_bytes_written() const { return spill_bytes_written_; }
   int64_t spill_partitions() const { return spill_partitions_; }
 
-  /// Records the probe kernel actually used (0 none, 1 scalar, 2 simd);
-  /// simd is sticky across bridges so a query-level "simd" means at least
-  /// one join probed vectorized.
-  void RecordProbePath(bool simd) {
-    int path = simd ? 2 : 1;
-    int seen = probe_path_.load();
-    while (path > seen && !probe_path_.compare_exchange_weak(seen, path)) {
-    }
-  }
-  int probe_path() const { return probe_path_.load(); }
-
   // --- metric counters ---
   void AddOutputRows(int64_t n) { output_rows_ += n; }
   void AddOutputBytes(int64_t n) { output_bytes_ += n; }
   void AddScanRows(int64_t n) { scan_rows_ += n; }
-  void AddScanTotalRows(int64_t n) { scan_total_rows_ += n; }
   void AddProcessedRows(int64_t n) { processed_rows_ += n; }
   void BufferTurnUp() { ++turn_up_counter_; }
   void SetHashBuildMicros(int64_t us) { hash_build_us_ = us; }
@@ -96,7 +84,6 @@ class TaskContext {
   int64_t output_rows() const { return output_rows_; }
   int64_t output_bytes() const { return output_bytes_; }
   int64_t scan_rows() const { return scan_rows_; }
-  int64_t scan_total_rows() const { return scan_total_rows_; }
   int64_t processed_rows() const { return processed_rows_; }
   int64_t turn_up_counter() const { return turn_up_counter_; }
   int64_t hash_build_micros() const { return hash_build_us_; }
@@ -128,12 +115,10 @@ class TaskContext {
   std::atomic<int64_t> peak_build_bytes_{0};
   std::atomic<int64_t> spill_bytes_written_{0};
   std::atomic<int64_t> spill_partitions_{0};
-  std::atomic<int> probe_path_{0};
 
   std::atomic<int64_t> output_rows_{0};
   std::atomic<int64_t> output_bytes_{0};
   std::atomic<int64_t> scan_rows_{0};
-  std::atomic<int64_t> scan_total_rows_{0};
   std::atomic<int64_t> processed_rows_{0};
   std::atomic<int64_t> turn_up_counter_{0};
   std::atomic<int64_t> hash_build_us_{0};

@@ -41,7 +41,6 @@ struct TaskInfo {
   int64_t output_rows = 0;
   int64_t output_bytes = 0;
   int64_t scan_rows = 0;
-  int64_t scan_total_rows = 0;
   int64_t processed_rows = 0;
   int64_t turn_up_counter = 0;
   int64_t hash_build_micros = 0;
@@ -54,8 +53,6 @@ struct TaskInfo {
   int64_t spill_bytes_written = 0;
   /// Spill partition files created (counts recursion levels).
   int64_t spill_partitions = 0;
-  /// Probe kernel used by this task's joins: 0 none, 1 scalar, 2 simd.
-  int probe_path = 0;
 
   /// True when the task has join bridges and all hash tables are built
   /// (gates the probe-side switch of §4.5).

@@ -47,8 +47,7 @@ class NdvSketch {
 // them; this header adds the machinery that computes them.
 
 /// Streaming statistics builder: feed every page of a table (or a sample
-/// prefix), then Finish(). Used by the CSV load path and the TPC-H
-/// catalog bootstrap.
+/// prefix), then Finish(). Used by the TPC-H catalog bootstrap.
 class StatsCollector {
  public:
   explicit StatsCollector(const TableSchema& schema, int sketch_k = 1024);

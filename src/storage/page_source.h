@@ -18,10 +18,6 @@ class PageSource {
 
   /// Next page, or nullptr when the split is exhausted.
   virtual PagePtr Next() = 0;
-
-  /// Total rows this source will produce, if known (-1 otherwise). Feeds
-  /// the scan-progress accounting the predictor relies on.
-  virtual int64_t TotalRows() const { return -1; }
 };
 
 /// PageSource over the deterministic TPC-H generator (the default storage
@@ -36,7 +32,8 @@ class GeneratorPageSource : public PageSource {
              batch_rows, std::move(columns)) {}
 
   PagePtr Next() override { return gen_.NextPage(); }
-  int64_t TotalRows() const override { return gen_.TotalRows(); }
+  /// Total rows this split will produce (exact).
+  int64_t TotalRows() const { return gen_.TotalRows(); }
 
  private:
   TpchSplitGenerator gen_;
@@ -67,7 +64,6 @@ class NullInjectingPageSource : public PageSource {
     for (int ch : columns_) kept.push_back(page->shared_column(ch));
     return Page::MakeShared(std::move(kept));
   }
-  int64_t TotalRows() const override { return inner_->TotalRows(); }
 
  private:
   std::unique_ptr<PageSource> inner_;

@@ -306,8 +306,7 @@ Catalog MakeTpchCatalog(double scale_factor, int num_storage_nodes) {
     }
     catalog.AddTable(TpchSchema(table), layout);
     // Load-time statistics pass: scan a prefix of the (deterministic)
-    // generated data and extrapolate to the exact table row count — the
-    // same pass CSV ingest runs via CollectCsvSplitStats.
+    // generated data and extrapolate to the exact table row count.
     GeneratorPageSource source(table, scale_factor, 0, 1);
     catalog.SetStats(table, CollectStats(TpchSchema(table), &source,
                                          kStatsSampleRows,

@@ -93,7 +93,7 @@ class TpchSplitGenerator {
   int64_t order_date_ = 0;
 };
 
-/// Materializes an entire split (convenience for tests and CSV export).
+/// Materializes an entire split (convenience for tests).
 std::vector<PagePtr> GenerateSplit(const std::string& table,
                                    double scale_factor, int split_index,
                                    int split_count, int64_t batch_rows = 1024);

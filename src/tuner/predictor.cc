@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/clock.h"
-#include "tpch/tpch.h"
 
 namespace accordion {
 
@@ -18,19 +17,6 @@ int Predictor::DrivingScanStage(const QuerySnapshot& snapshot, int stage_id) {
     current = stage->source_stage_ids[0];
   }
   return -1;
-}
-
-int64_t Predictor::TableRows(const std::string& table) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = table_rows_cache_.find(table);
-    if (it != table_rows_cache_.end()) return it->second;
-  }
-  TpchSplitGenerator gen(table, coordinator_->scale_factor(), 0, 1, 4096);
-  int64_t rows = gen.TotalRows();
-  std::lock_guard<std::mutex> lock(mutex_);
-  table_rows_cache_[table] = rows;
-  return rows;
 }
 
 Result<Predictor::StageEstimate> Predictor::EstimateRemaining(
@@ -61,7 +47,7 @@ Result<Predictor::StageEstimate> Predictor::EstimateRemaining(
   }
   const StageSnapshot* scan = snapshot.stage(scan_stage_id);
 
-  int64_t total_rows = TableRows(scan->scan_table);
+  const int64_t total_rows = scan->scan_total_rows;
   estimate.remaining_rows = std::max<int64_t>(0, total_rows - scan->scan_rows);
   estimate.progress =
       total_rows == 0

@@ -71,12 +71,9 @@ class Predictor {
   /// Walks probe-side children to the driving scan stage (§5.2).
   static int DrivingScanStage(const QuerySnapshot& snapshot, int stage_id);
 
-  int64_t TableRows(const std::string& table);
-
   Coordinator* coordinator_;
   std::mutex mutex_;
   std::map<std::string, std::vector<RateSample>> history_;  // query.stage
-  std::map<std::string, int64_t> table_rows_cache_;
 };
 
 }  // namespace accordion

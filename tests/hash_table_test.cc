@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <numeric>
 #include <set>
@@ -530,10 +531,10 @@ TEST(HashTablePropertyTest, RandomizedAgainstUnorderedMapStringKeys) {
 }
 
 // --- batch join probe properties --------------------------------------------
-// FindJoinBatch (and FindJoinHashed) must reproduce the scalar FindJoin
-// match pairs bit-for-bit — same pairs, same order — on both the AVX2 and
-// the forced-scalar kernel, for every row-count shape around the 4-lane
-// boundaries and for hostile key distributions.
+// FindJoinBatch (and FindJoinHashed) must reproduce the FindJoin reference
+// match pairs bit-for-bit — same pairs, same order — for every row-count
+// shape around the prefetch-distance and page boundaries and for hostile
+// key distributions.
 
 // Builds the CSR spans (offsets/rows grouped by dense id) the join bridge
 // would build for this build page.
@@ -559,19 +560,16 @@ void ExpectBatchMatchesScalar(const HashTable& table, const Page& probe,
   std::vector<int64_t> want_build, got_build;
   table.FindJoin(probe, channels, offsets.data(), rows.data(), &want_probe,
                  &want_build);
-  for (bool allow_simd : {true, false}) {
-    got_probe.clear();
-    got_build.clear();
-    table.FindJoinBatch(probe, channels, offsets.data(), rows.data(),
-                        &got_probe, &got_build, allow_simd);
-    ASSERT_EQ(got_probe, want_probe) << "allow_simd=" << allow_simd;
-    ASSERT_EQ(got_build, want_build) << "allow_simd=" << allow_simd;
-  }
+  table.FindJoinBatch(probe, channels, offsets.data(), rows.data(), &got_probe,
+                      &got_build);
+  ASSERT_EQ(got_probe, want_probe);
+  ASSERT_EQ(got_build, want_build);
 }
 
 TEST(FindJoinBatchPropertyTest, LaneBoundaryRowCounts) {
-  // 0/1/255/256/257 probe rows straddle the page and 4-lane tails; random
-  // keys with duplicates on the build side and ~half-absent probes.
+  // 0/1/255/256/257 probe rows straddle the page size and odd-length
+  // tails; random keys with duplicates on the build side and ~half-absent
+  // probes.
   Random rng(42);
   std::vector<int64_t> build_keys;
   for (int i = 0; i < 600; ++i) build_keys.push_back(rng.NextInt(0, 300));
@@ -587,9 +585,8 @@ TEST(FindJoinBatchPropertyTest, LaneBoundaryRowCounts) {
 
 TEST(FindJoinBatchPropertyTest, ZeroKeyDoesNotMatchEmptySlots) {
   // Key 0's word equals the empty slot's tag initialization: a probe for 0
-  // against a table without 0 must miss, and with 0 must hit — on both
-  // kernels (the SIMD kernel masks hits with the empty-id lane exactly to
-  // keep this case honest).
+  // against a table without 0 must miss, and with 0 must hit (the probe
+  // stops at an empty id, never on the tag alone).
   for (bool build_has_zero : {false, true}) {
     std::vector<int64_t> build_keys = {5, 9, 13};
     if (build_has_zero) build_keys.push_back(0);
@@ -622,7 +619,7 @@ TEST(FindJoinBatchPropertyTest, CollisionHeavyDuplicates) {
 
 TEST(FindJoinBatchPropertyTest, LargeTableRandomProbes) {
   // A table big enough to leave L2 (1M distinct keys) with random hit/miss
-  // probes across lane boundaries.
+  // probes.
   Random rng(77);
   std::vector<int64_t> build_keys;
   build_keys.reserve(1 << 20);
@@ -638,8 +635,8 @@ TEST(FindJoinBatchPropertyTest, LargeTableRandomProbes) {
 }
 
 TEST(FindJoinBatchPropertyTest, NonWordKeysFallBackConsistently) {
-  // Multi-column and string keys take the generic scalar path inside
-  // FindJoinBatch; results must still match FindJoin exactly.
+  // Multi-column and string keys take FindBatch's generic (hash + key
+  // compare) loop inside FindJoinBatch; results must match FindJoin exactly.
   Random rng(5);
   Column a(DataType::kInt64), b(DataType::kString);
   for (int i = 0; i < 500; ++i) {
@@ -704,42 +701,54 @@ TEST(FindJoinBatchPropertyTest, FindJoinHashedWithRowMap) {
   }
   HashTable::HashWords(words.data(), static_cast<int64_t>(words.size()),
                        hashes.data());
-  for (bool allow_simd : {true, false}) {
-    std::vector<int32_t> got_probe;
-    std::vector<int64_t> got_build;
-    table.FindJoinHashed(words.data(), hashes.data(),
-                         static_cast<int64_t>(words.size()), offsets.data(),
-                         rows.data(), selection.data(), &got_probe, &got_build,
-                         allow_simd);
-    // Reference: probe only the selected rows via the gathered page.
-    std::vector<int32_t> want_probe;
-    std::vector<int64_t> want_build;
-    Column sel_col(DataType::kInt64);
-    for (int64_t w : words) sel_col.AppendInt(w);
-    table.FindJoin(*Page::Make({std::move(sel_col)}), {0}, offsets.data(),
-                   rows.data(), &want_probe, &want_build);
-    ASSERT_EQ(got_build, want_build) << "allow_simd=" << allow_simd;
-    ASSERT_EQ(got_probe.size(), want_probe.size());
-    for (size_t i = 0; i < got_probe.size(); ++i) {
-      ASSERT_EQ(got_probe[i], selection[want_probe[i]])
-          << "allow_simd=" << allow_simd;
-    }
+  std::vector<int32_t> got_probe;
+  std::vector<int64_t> got_build;
+  table.FindJoinHashed(words.data(), hashes.data(),
+                       static_cast<int64_t>(words.size()), offsets.data(),
+                       rows.data(), selection.data(), &got_probe, &got_build);
+  // Reference: probe only the selected rows via the gathered page.
+  std::vector<int32_t> want_probe;
+  std::vector<int64_t> want_build;
+  Column sel_col(DataType::kInt64);
+  for (int64_t w : words) sel_col.AppendInt(w);
+  table.FindJoin(*Page::Make({std::move(sel_col)}), {0}, offsets.data(),
+                 rows.data(), &want_probe, &want_build);
+  ASSERT_EQ(got_build, want_build);
+  ASSERT_EQ(got_probe.size(), want_probe.size());
+  for (size_t i = 0; i < got_probe.size(); ++i) {
+    ASSERT_EQ(got_probe[i], selection[want_probe[i]]);
   }
 }
 
-TEST(FindJoinBatchPropertyTest, HashWordsMatchesScalarMix) {
-  // The AVX2 hash must be bit-identical to the scalar Mix64 pipeline for
-  // all tail shapes.
+TEST(FindJoinBatchPropertyTest, HashWordsMatchesColumnHashInto) {
+  // The radix join picks a probe row's partition with HashWords but a
+  // build row's with Column::HashInto: the two must agree bit-for-bit on
+  // integer and double keys, or matching rows land in different partitions.
+  auto expect_same = [](const Column& col, const std::vector<int64_t>& words) {
+    std::vector<uint64_t> want(words.size(), Page::kHashSeed);
+    col.HashInto(&want);
+    std::vector<uint64_t> got(words.size());
+    HashTable::HashWords(words.data(), static_cast<int64_t>(words.size()),
+                         got.data());
+    EXPECT_EQ(got, want) << DataTypeName(col.type()) << " n=" << words.size();
+  };
   Random rng(9);
   for (int64_t n : {0, 1, 3, 4, 5, 255, 256, 257}) {
-    std::vector<int64_t> words;
+    Column ints(DataType::kInt64);
+    Column doubles(DataType::kDouble);
+    std::vector<int64_t> int_words, double_words;
     for (int64_t i = 0; i < n; ++i) {
-      words.push_back(rng.NextInt(0, 1LL << 62) - (1LL << 61));
+      const int64_t v = rng.NextInt(0, 1LL << 62) - (1LL << 61);
+      ints.AppendInt(v);
+      int_words.push_back(v);
+      const double d = static_cast<double>(v) * 0.25;
+      doubles.AppendDouble(d);
+      int64_t bits;
+      std::memcpy(&bits, &d, sizeof(bits));
+      double_words.push_back(bits);
     }
-    std::vector<uint64_t> simd_hashes(n), scalar_hashes(n);
-    HashTable::HashWords(words.data(), n, simd_hashes.data(), true);
-    HashTable::HashWords(words.data(), n, scalar_hashes.data(), false);
-    ASSERT_EQ(simd_hashes, scalar_hashes) << "n=" << n;
+    expect_same(ints, int_words);
+    expect_same(doubles, double_words);
   }
 }
 
@@ -928,7 +937,7 @@ TEST(HashTableNullKeyTest, JoinProbesNeverMatchNullInAnyLayout) {
   // Build sides containing NULL keys alongside real ones, probed with
   // pages mixing NULLs and values: NULL probe rows must emit zero pairs
   // in the word, fixed-compound, and serialized layouts, and
-  // FindJoinBatch must agree with FindJoin on both kernels.
+  // FindJoinBatch must agree with FindJoin.
   Random rng(99);
   // Layout 1: single int key (word mode).
   {

@@ -17,7 +17,6 @@
 #include "optimizer/stats.h"
 #include "sql/analyzer.h"
 #include "sql/parser.h"
-#include "storage/csv.h"
 #include "storage/page_source.h"
 #include "tpch/queries.h"
 #include "tpch/tpch.h"
@@ -137,28 +136,6 @@ TEST(StatsTest, ExtrapolationScalesUniqueAndSaturatesLowCardinality) {
   EXPECT_EQ(stats.row_count, 100000);
   EXPECT_GT(stats.columns[0].ndv, 50000);  // scaled up with the table
   EXPECT_EQ(stats.columns[1].ndv, 10);     // saturated
-}
-
-TEST(StatsTest, CsvSplitStatsRoundTrip) {
-  std::string path = testing::TempDir() + "/acc_stats_orders.csv";
-  ASSERT_TRUE(ExportTpchSplitCsv("orders", 0.01, 0, 1, path).ok());
-  auto stats = CollectCsvSplitStats(path, TpchSchema("orders"));
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-
-  GeneratorPageSource generated("orders", 0.01, 0, 1);
-  TableStats expected = CollectStats(TpchSchema("orders"), &generated);
-  ASSERT_EQ(stats->row_count, expected.row_count);
-  ASSERT_EQ(stats->columns.size(), expected.columns.size());
-  for (size_t c = 0; c < expected.columns.size(); ++c) {
-    EXPECT_EQ(stats->columns[c].ndv, expected.columns[c].ndv) << "column " << c;
-    EXPECT_EQ(CompareValues(stats->columns[c].min, expected.columns[c].min), 0);
-    EXPECT_EQ(CompareValues(stats->columns[c].max, expected.columns[c].max), 0);
-  }
-}
-
-TEST(StatsTest, MissingCsvReportsError) {
-  EXPECT_FALSE(
-      CollectCsvSplitStats("/nonexistent/nope.csv", TwoIntSchema()).ok());
 }
 
 // --- selectivity -----------------------------------------------------------

@@ -9,7 +9,6 @@
 
 #include "catalog/catalog.h"
 #include "sql/analyzer.h"
-#include "storage/csv.h"
 #include "storage/page_source.h"
 #include "tpch/queries.h"
 #include "tpch/tpch.h"
@@ -350,54 +349,6 @@ TEST(TpchTest, MarketSegmentsFromDomain) {
   }
   EXPECT_EQ(segments.size(), 5u);
   EXPECT_TRUE(segments.count("BUILDING"));
-}
-
-TEST(CsvTest, RoundTripThroughDisk) {
-  std::string path = testing::TempDir() + "/acc_orders_split.csv";
-  ASSERT_TRUE(ExportTpchSplitCsv("orders", kSf, 0, 20, path).ok());
-
-  CsvPageSource source(path, TpchSchema("orders"));
-  ASSERT_TRUE(source.status().ok()) << source.status().ToString();
-  auto generated = GenerateSplit("orders", kSf, 0, 20, 1024);
-  std::vector<PagePtr> read;
-  while (auto page = source.Next()) read.push_back(page);
-  ASSERT_TRUE(source.status().ok()) << source.status().ToString();
-
-  PagePtr expect = Page::Concat(generated);
-  PagePtr got = Page::Concat(read);
-  ASSERT_EQ(got->num_rows(), expect->num_rows());
-  for (int c = 0; c < expect->num_columns(); ++c) {
-    for (int64_t r = 0; r < expect->num_rows(); ++r) {
-      if (expect->column(c).type() == DataType::kDouble) {
-        EXPECT_DOUBLE_EQ(got->column(c).DoubleAt(r),
-                         expect->column(c).DoubleAt(r));
-      } else {
-        EXPECT_EQ(got->column(c).ValueAt(r), expect->column(c).ValueAt(r));
-      }
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, QuotedFieldsSurvive) {
-  Column c(DataType::kString);
-  c.AppendStr("plain");
-  c.AppendStr("with,comma");
-  c.AppendStr("with\"quote");
-  std::string path = testing::TempDir() + "/acc_quoted.csv";
-  ASSERT_TRUE(WriteCsvSplit(path, {Page::Make({std::move(c)})}).ok());
-  CsvPageSource source(path, TableSchema("t", {{"s", DataType::kString}}));
-  auto page = source.Next();
-  ASSERT_NE(page, nullptr);
-  EXPECT_EQ(page->column(0).StrAt(1), "with,comma");
-  EXPECT_EQ(page->column(0).StrAt(2), "with\"quote");
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, MissingFileReportsError) {
-  CsvPageSource source("/nonexistent/nope.csv", TpchSchema("orders"));
-  EXPECT_FALSE(source.status().ok());
-  EXPECT_EQ(source.Next(), nullptr);
 }
 
 TEST(PageSourceTest, GeneratorSourceStreams) {
