@@ -1,5 +1,6 @@
 #include "api/session.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -24,17 +25,23 @@ void ResultCursor::StartPrefetch() {
   ++prefetches_issued_;
 }
 
-Result<PagesResult> ResultCursor::TakeFetch() {
-  if (prefetch_.valid()) {
-    ++prefetch_hits_;
-    return prefetch_.get();
+Result<PagesResult> ResultCursor::TakeFetch(int64_t timeout_ms) {
+  if (!prefetch_.valid()) {
+    return coordinator_->FetchResults(query_id_, batch_pages_, timeout_ms);
   }
-  return coordinator_->FetchResults(query_id_, batch_pages_);
+  // A prefetch still in flight at the deadline stays pending: the next
+  // call takes it, so nothing is lost.
+  if (prefetch_.wait_for(std::chrono::milliseconds(timeout_ms)) !=
+      std::future_status::ready) {
+    return PagesResult{};
+  }
+  ++prefetch_hits_;
+  return prefetch_.get();
 }
 
 Result<PagePtr> ResultCursor::Next(int64_t timeout_ms) {
   if (timeout_ms < 0) timeout_ms = default_timeout_ms_;
-  Stopwatch sw;
+  const int64_t deadline_ms = NowMillis() + timeout_ms;
   while (true) {
     if (next_buffered_ < buffered_.size()) {
       PagePtr page = std::move(buffered_[next_buffered_++]);
@@ -54,7 +61,7 @@ Result<PagePtr> ResultCursor::Next(int64_t timeout_ms) {
       return page;
     }
     if (done_) return PagePtr(nullptr);
-    auto fetched = TakeFetch();
+    auto fetched = TakeFetch(std::max<int64_t>(deadline_ms - NowMillis(), 0));
     ACCORDION_RETURN_NOT_OK(fetched.status());
     if (fetched->complete) done_ = true;
     if (!fetched->pages.empty()) {
@@ -63,12 +70,11 @@ Result<PagePtr> ResultCursor::Next(int64_t timeout_ms) {
       continue;
     }
     if (done_) return PagePtr(nullptr);
-    if (sw.ElapsedMillis() > timeout_ms) {
+    if (NowMillis() >= deadline_ms) {
       return Status::DeadlineExceeded("no result page within " +
                                       std::to_string(timeout_ms) +
                                       "ms on query " + query_id_);
     }
-    SleepForMillis(2);
   }
 }
 
@@ -80,17 +86,9 @@ Result<PagesResult> ResultCursor::Poll() {
   }
   buffered_.clear();
   next_buffered_ = 0;
-  if (!done_ && prefetch_.valid() &&
-      prefetch_.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready) {
-    // A background fetch is in flight but not ready; starting a second
-    // concurrent fetch would interleave the stream, and waiting would
-    // block. Hand out what we have.
-    out.complete = false;
-    return out;
-  }
   if (!done_) {
-    auto fetched = TakeFetch();
+    // Never blocks: a background fetch still in flight is left pending.
+    auto fetched = TakeFetch(/*timeout_ms=*/0);
     ACCORDION_RETURN_NOT_OK(fetched.status());
     for (auto& page : fetched->pages) out.pages.push_back(std::move(page));
     if (fetched->complete) done_ = true;

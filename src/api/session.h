@@ -90,19 +90,22 @@ class ResultCursor {
   ResultCursor(const ResultCursor&) = delete;
   ResultCursor& operator=(const ResultCursor&) = delete;
 
-  /// Returns the next result page, blocking until one is available.
-  /// nullptr signals a cleanly finished stream. A query abort surfaces
-  /// as kAborted, a blown deadline as kDeadlineExceeded (the query keeps
-  /// running and the cursor stays usable), and a failed query (worker
-  /// crash, retry exhaustion) as one contextful kUnavailable — a query
-  /// fails, it never hangs.
+  /// Returns the next result page, blocking (on the root buffer, not on
+  /// a timer) until one is available, the stream completes or the
+  /// deadline passes. nullptr signals a cleanly finished stream. A query
+  /// abort surfaces as kAborted, a blown deadline as kDeadlineExceeded
+  /// (the query keeps running and the cursor stays usable, a background
+  /// fetch still in flight included), and a failed query (worker crash,
+  /// retry exhaustion) as one contextful kUnavailable — a query fails, it
+  /// never hangs.
   Result<PagePtr> Next(int64_t timeout_ms = -1);
 
   /// Pulls whatever is currently buffered without blocking (empty result
   /// + !Done() means "nothing yet").
   Result<PagesResult> Poll();
 
-  /// Runs the stream to completion, collecting all remaining pages.
+  /// Runs the stream to completion, collecting all remaining pages; blocks
+  /// like Next, and on kDeadlineExceeded keeps every page for a retry.
   Result<std::vector<PagePtr>> Drain(int64_t timeout_ms = -1);
 
   /// True once the end of the stream was observed by THIS cursor.
@@ -130,9 +133,10 @@ class ResultCursor {
   /// client that stops reading holds at most one extra batch and the
   /// engine's elastic-buffer backpressure still applies.
   void StartPrefetch();
-  /// Next batch: the pending background fetch if one exists (blocking
-  /// until it lands), otherwise a synchronous fetch.
-  Result<PagesResult> TakeFetch();
+  /// Next batch: the pending background fetch if one exists (waiting up
+  /// to `timeout_ms` for it to land, else leaving it pending and
+  /// returning nothing), otherwise a fetch that blocks up to `timeout_ms`.
+  Result<PagesResult> TakeFetch(int64_t timeout_ms);
 
   Coordinator* coordinator_;
   std::string query_id_;
@@ -158,9 +162,10 @@ class QueryHandle {
   /// cursors on one query split the page stream between them.
   ResultCursor Cursor() const;
 
-  /// Blocks until the query finishes and returns all pages fetched by
-  /// this call (don't mix with a cursor). Timeout -1 = session default;
-  /// on kDeadlineExceeded the query is still running and abortable.
+  /// Blocks (on the root buffer, not on a timer) until the query
+  /// finishes and returns all pages fetched by this call (don't mix with a
+  /// cursor). Timeout -1 = session default; on kDeadlineExceeded the query
+  /// is still running and abortable, and the next Wait resumes the stream.
   Result<std::vector<PagePtr>> Wait(int64_t timeout_ms = -1);
 
   bool Finished() const { return coordinator_->IsFinished(id_); }

@@ -90,6 +90,7 @@ void Coordinator::FailQuery(const std::shared_ptr<QueryExec>& query,
   }
   query->end_ms = NowMillis();
   ACC_LOG(kInfo) << "query " << query->id << " failed: " << status.ToString();
+  query->fetch_waiter->Notify();
   AbortAllTasks(query.get());
   FireCompletion(query);
 }
@@ -400,9 +401,30 @@ Result<std::string> Coordinator::Submit(const PlanNodePtr& plan,
 }
 
 Result<PagesResult> Coordinator::FetchResults(const std::string& query_id,
-                                              int max_pages) {
+                                              int max_pages,
+                                              int64_t timeout_ms) {
   auto query = GetQuery(query_id);
   if (query == nullptr) return Status::NotFound("no query " + query_id);
+  const int64_t deadline_us =
+      NowMicros() + std::max<int64_t>(timeout_ms, 0) * 1000;
+  const Waiter waiter{nullptr, nullptr, nullptr, query->fetch_waiter};
+  while (true) {
+    // Read before the fetch: a notification that lands after it ends the
+    // wait below at once.
+    const uint64_t seen = query->fetch_waiter->generation();
+    auto result = FetchOnce(query, max_pages, &waiter);
+    if (!result.ok() || !result->pages.empty() || result->complete ||
+        NowMicros() >= deadline_us) {
+      return result;
+    }
+    query->fetch_waiter->WaitUntil(deadline_us, seen);
+  }
+}
+
+Result<PagesResult> Coordinator::FetchOnce(
+    const std::shared_ptr<QueryExec>& query, int max_pages,
+    const Waiter* waiter) {
+  const std::string& query_id = query->id;
   std::lock_guard<std::mutex> lock(query->fetch_mutex);
   QueryState state = query->state.load();
   if (state == QueryState::kAborted) {
@@ -444,7 +466,7 @@ Result<PagesResult> Coordinator::FetchResults(const std::string& query_id,
       auto fetched =
           bus_->GetPages(query->root_split, /*buffer_id=*/0,
                          query->fetch_sequence, max_pages,
-                         /*consumer=*/nullptr, &ready_at_us);
+                         /*consumer=*/nullptr, waiter, &ready_at_us);
       SleepUntilMicros(ready_at_us);  // the coordinator blocks on the reply
       if (fetched.ok()) {
         result = std::move(fetched).value();
@@ -489,13 +511,15 @@ Result<PagesResult> Coordinator::FetchResults(const std::string& query_id,
 Result<std::vector<PagePtr>> Coordinator::Wait(const std::string& query_id,
                                                int64_t timeout_ms) {
   std::vector<PagePtr> pages;
-  Stopwatch sw;
+  const int64_t deadline_ms = NowMillis() + timeout_ms;
   while (true) {
-    auto fetched = FetchResults(query_id);
+    const int64_t remaining_ms =
+        std::max<int64_t>(deadline_ms - NowMillis(), 0);
+    auto fetched = FetchResults(query_id, /*max_pages=*/16, remaining_ms);
     ACCORDION_RETURN_NOT_OK(fetched.status());
     for (auto& page : fetched->pages) pages.push_back(std::move(page));
     if (fetched->complete) return pages;
-    if (sw.ElapsedMillis() > timeout_ms) {
+    if (NowMillis() >= deadline_ms) {
       // Distinct timeout status: the query is still running and can be
       // aborted, retried with a longer deadline, or resumed via a cursor.
       // Pages this call already pulled go back into the query's stash so
@@ -513,7 +537,6 @@ Result<std::vector<PagePtr>> Coordinator::Wait(const std::string& query_id,
                                       " did not finish within " +
                                       std::to_string(timeout_ms) + "ms");
     }
-    if (fetched->pages.empty()) SleepForMillis(2);
   }
 }
 
@@ -533,6 +556,7 @@ Status Coordinator::Abort(const std::string& query_id) {
   QueryState expected = QueryState::kRunning;
   if (query->state.compare_exchange_strong(expected, QueryState::kAborted)) {
     query->end_ms = NowMillis();
+    query->fetch_waiter->Notify();
   }
   AbortAllTasks(query.get());
   FireCompletion(query);
@@ -766,18 +790,21 @@ Status Coordinator::DopSwitch(QueryExec* query, StageExec* stage, int dop,
   }
 
   // Phase 3: wait until every new task finished building its hash table
-  // (the probe side only switches afterwards, §4.5).
-  while (query->state.load() == QueryState::kRunning) {
-    bool all_built = true;
-    for (size_t t = 0; t < new_tasks.size(); ++t) {
-      auto info = bus_->GetTaskInfo(stage->task_workers[t], new_tasks[t]);
-      if (!info.has_value() || !info->hash_tables_built) {
-        all_built = false;
-        break;
-      }
+  // (the probe side only switches afterwards, §4.5). Each call returns when
+  // the task's last build driver finishes, or after a short slice so that
+  // the query's state is re-checked.
+  constexpr int64_t kBuildWaitSliceMs = 100;
+  for (size_t t = 0; t < new_tasks.size() &&
+                     query->state.load() == QueryState::kRunning;) {
+    Status built = bus_->AwaitHashTables(stage->task_workers[t], new_tasks[t],
+                                         kBuildWaitSliceMs);
+    if (built.ok()) {
+      ++t;
+    } else if (built.code() != StatusCode::kDeadlineExceeded) {
+      // An injected fault or a dead worker: the health monitor decides
+      // the query's fate; ask again after a slice.
+      SleepForMillis(kBuildWaitSliceMs);
     }
-    if (all_built) break;
-    SleepForMillis(20);
   }
   double build_seconds = build_watch.ElapsedSeconds();
   if (query->state.load() != QueryState::kRunning) {

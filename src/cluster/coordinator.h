@@ -169,11 +169,15 @@ class Coordinator {
                              const QueryOptions& options = {});
 
   /// Pulls the next batch of result pages off stage 0's output buffer
-  /// (non-blocking; `complete` marks the end of the stream). Flips the
+  /// (`complete` marks the end of the stream). Long-polls: when nothing
+  /// is there yet, blocks until pages arrive, the stream completes, the
+  /// query's state changes or `timeout_ms` passes (0 = one non-blocking
+  /// fetch), and then returns whatever it has, possibly nothing. Flips the
   /// query to kFinished when the end page is observed. The primitive
   /// under api::ResultCursor and Wait.
   Result<PagesResult> FetchResults(const std::string& query_id,
-                                   int max_pages = 16);
+                                   int max_pages = 16,
+                                   int64_t timeout_ms = 0);
 
   /// Blocks until the query finishes; returns all pages fetched by this
   /// call (a shim over FetchResults — don't mix with a cursor on the
@@ -257,6 +261,11 @@ class Coordinator {
     /// before new fetches so a retry resumes the stream losslessly.
     /// Guarded by fetch_mutex.
     std::vector<PagePtr> stash;
+    /// Result fetchers blocked on the root buffer (outside fetch_mutex).
+    /// The buffer notifies it on pages and completion, Abort and FailQuery
+    /// on a state change.
+    std::shared_ptr<ThreadWaiter> fetch_waiter =
+        std::make_shared<ThreadWaiter>();
 
     /// Control-plane + result-fetch retries (data-plane retries live in
     /// the tasks' contexts and are summed at snapshot time).
@@ -283,6 +292,12 @@ class Coordinator {
   };
 
   std::shared_ptr<QueryExec> GetQuery(const std::string& query_id);
+
+  /// One pass of FetchResults under fetch_mutex: the stash, then one
+  /// root-buffer fetch (with retries) that registers `waiter` on the
+  /// buffer when it finds nothing new.
+  Result<PagesResult> FetchOnce(const std::shared_ptr<QueryExec>& query,
+                                int max_pages, const Waiter* waiter);
   int NextWorker() { return next_worker_++ % bus_->num_workers(); }
 
   /// Creates, wires and starts one new task for a stage. `buffer_id`

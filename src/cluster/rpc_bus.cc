@@ -204,9 +204,21 @@ Status RpcBus::SwitchOutputToNewestGroup(int worker_id, const TaskId& task) {
                   });
 }
 
+Status RpcBus::AwaitHashTables(int worker_id, const TaskId& task,
+                               int64_t timeout_ms) {
+  return CallTask("rpc.AwaitHashTables", worker_id, task, [&](Task* t) {
+    if (t->WaitHashTablesBuilt(NowMicros() + timeout_ms * 1000)) {
+      return Status::OK();
+    }
+    return Status::DeadlineExceeded("hash tables of task " + task.ToString() +
+                                    " not built yet");
+  });
+}
+
 Result<PagesResult> RpcBus::GetPages(const RemoteSplit& split, int buffer_id,
                                      int64_t start_sequence, int max_pages,
-                                     Pacer* consumer, int64_t* ready_at_us) {
+                                     Pacer* consumer, const Waiter* waiter,
+                                     int64_t* ready_at_us) {
   CallFate fate =
       Intercept("rpc.GetPages", split.worker_id, split.task.query_id);
   *ready_at_us = NowMicros() + fate.delay_us;
@@ -224,7 +236,8 @@ Result<PagesResult> RpcBus::GetPages(const RemoteSplit& split, int buffer_id,
     return Status::Unavailable("no task " + split.task.ToString())
         .WithContext("rpc.GetPages");
   }
-  PagesResult result = t->GetPages(buffer_id, start_sequence, max_pages);
+  PagesResult result =
+      t->GetPages(buffer_id, start_sequence, max_pages, waiter);
   int64_t bytes = result.TotalBytes();
   Pacer* producer = w->pacer();
   if (producer != nullptr && bytes > 0) {
@@ -239,6 +252,11 @@ Result<PagesResult> RpcBus::GetPages(const RemoteSplit& split, int buffer_id,
   }
   Status drop = FinishCall(fate, "rpc.GetPages");
   if (!drop.ok()) return drop;
+  if (waiter != nullptr && result.pages.empty() && !result.complete) {
+    // A long poll that found nothing is held, not answered: the fetch its
+    // wake triggers delivers the response and is the one request counted.
+    --requests_;
+  }
   return result;
 }
 

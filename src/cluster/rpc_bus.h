@@ -62,6 +62,11 @@ class RpcBus {
   Status AddOutputTaskGroup(int worker_id, const TaskId& task, int count,
                             int first_buffer_id);
   Status SwitchOutputToNewestGroup(int worker_id, const TaskId& task);
+  /// Returns once every join bridge of `task` is built (OK), the task is
+  /// aborted, or `timeout_ms` passes (both kDeadlineExceeded): a DOP
+  /// switch waits on its new task group's rebuild without polling.
+  Status AwaitHashTables(int worker_id, const TaskId& task,
+                         int64_t timeout_ms);
 
   // --- data plane ---
   /// Pulls pages from `split`'s output buffer, resuming at
@@ -73,10 +78,14 @@ class RpcBus {
   /// until it, the coordinator sleeps. `consumer` is the fetching node's
   /// Pacer, null for the coordinator and in real mode. kUnavailable covers
   /// injected faults, crashed workers and vanished tasks — all retryable
-  /// with the same start_sequence.
+  /// with the same start_sequence. A long poll: when the buffer id has
+  /// nothing new, `waiter` (if given) is registered on it and woken once
+  /// pages or completion arrive, and the call counts as a request only
+  /// through the fetch that collects the response.
   Result<PagesResult> GetPages(const RemoteSplit& split, int buffer_id,
                                int64_t start_sequence, int max_pages,
-                               Pacer* consumer, int64_t* ready_at_us);
+                               Pacer* consumer, const Waiter* waiter,
+                               int64_t* ready_at_us);
 
   // --- worker health ---
   /// Kills `worker_id`: aborts all its tasks and makes every later call

@@ -88,9 +88,9 @@ Status WorkerNode::CreateTask(TaskSpec spec, NextSplitFn next_split) {
   };
   apis.fetch_pages = [this](const RemoteSplit& split, int buffer_id,
                             int64_t start_sequence, int max_pages,
-                            int64_t* ready_at_us) {
+                            const Waiter* long_poll, int64_t* ready_at_us) {
     return bus_->GetPages(split, buffer_id, start_sequence, max_pages,
-                          pacer_.get(), ready_at_us);
+                          pacer_.get(), long_poll, ready_at_us);
   };
 
   std::string key = spec.id.ToString();

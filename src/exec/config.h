@@ -138,9 +138,6 @@ struct EngineConfig {
   /// destroy-and-rebuildable (paper §4.1).
   int64_t partial_agg_flush_groups = 1 << 16;
 
-  /// Idle wait inside driver loops when no progress was possible.
-  int64_t driver_idle_sleep_us = 1000;
-
   /// Deterministic NULL injection at scan time (differential testing of
   /// three-valued logic): every scanned cell goes NULL with this
   /// probability, decided by a pure hash of the row's content and the

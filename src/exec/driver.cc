@@ -9,13 +9,11 @@
 namespace accordion {
 
 Driver::Driver(int pipeline_id, int driver_seq,
-               std::vector<OperatorPtr> operators, TaskContext* task_ctx,
-               const std::atomic<bool>* cancelled)
+               std::vector<OperatorPtr> operators, TaskContext* task_ctx)
     : pipeline_id_(pipeline_id),
       driver_seq_(driver_seq),
       operators_(std::move(operators)),
-      task_ctx_(task_ctx),
-      cancelled_(cancelled) {
+      task_ctx_(task_ctx) {
   ACC_CHECK(!operators_.empty()) << "driver with no operators";
 }
 
@@ -44,9 +42,10 @@ Schedulable::Quantum Driver::RunQuantum(int64_t quantum_us) {
   }
   const int64_t deadline_us = NowMicros() + quantum_us;
   const size_t n = operators_.size();
+  bool worked = false;
 
   while (true) {
-    if (operators_.back()->IsFinished() || cancelled_->load()) {
+    if (operators_.back()->IsFinished() || task_ctx_->cancelled()) {
       done_ = true;
       return Quantum::Finished();
     }
@@ -87,15 +86,31 @@ Schedulable::Quantum Driver::RunQuantum(int64_t quantum_us) {
     // Drive the sink (flush / completion signalling).
     if (operators_.back()->GetOutput() != nullptr) progressed = true;
 
-    if (!progressed) {
-      // Blocked on upstream data or downstream backpressure: yield the
-      // pool thread instead of spinning or sleeping on it.
-      return Quantum::Waiting(NowMicros() +
-                              task_ctx_->config().driver_idle_sleep_us);
-    }
+    if (!progressed) return Park(/*idle=*/!worked);
+    worked = true;
   }
 }
 
-void Driver::RequestEnd() { end_requested_ = true; }
+Schedulable::Quantum Driver::Park(bool idle) {
+  // Blocked on upstream data or downstream backpressure. In each pair that
+  // did not move, the consumer holds it up if it refuses input, else the
+  // producer had nothing to give. Every blocked chain ends at a structure;
+  // were one missed, only the fallback timer would resume the driver, and
+  // the scheduler would count that as a lost wake.
+  const Waiter waiter{task_ctx_->scheduler(), this};
+  for (size_t i = 0; i + 1 < operators_.size(); ++i) {
+    Operator& producer = *operators_[i];
+    if (producer.IsFinished()) continue;
+    Operator& consumer = *operators_[i + 1];
+    Operator& blocker = consumer.NeedsInput() ? producer : consumer;
+    if (blocker.ParkOn(waiter) == ParkState::kReady) return Quantum::Runnable();
+  }
+  return Quantum::Parked(idle);
+}
+
+void Driver::RequestEnd() {
+  end_requested_ = true;
+  task_ctx_->scheduler()->Wake(this);
+}
 
 }  // namespace accordion

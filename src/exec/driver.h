@@ -16,18 +16,20 @@ namespace accordion {
 /// adjacent operators and relays end pages (Fig. 13), charging each
 /// operator's virtual CPU cost to the worker's Pacer on a simulated
 /// cluster. Instead of sleeping to pace itself to one simulated core, the
-/// driver records the pace deadline and yields the pool thread until it;
-/// backpressure and idle upstreams likewise yield instead of blocking.
+/// driver records the pace deadline and yields the pool thread until it.
+/// A driver blocked on an idle upstream or on backpressure parks on the
+/// structure that blocks it, which wakes it when that changes.
 class Driver : public Schedulable {
  public:
   Driver(int pipeline_id, int driver_seq, std::vector<OperatorPtr> operators,
-         TaskContext* task_ctx, const std::atomic<bool>* cancelled);
+         TaskContext* task_ctx);
 
   /// Runs up to `quantum_us` of operator work; called only by the pool.
   Quantum RunQuantum(int64_t quantum_us) override;
 
   /// Paper end signal: asks the head (source) operator to stop early; the
   /// end page then relays through the chain, closing the driver cleanly.
+  /// Wakes the driver if it is parked.
   void RequestEnd();
 
   bool done() const { return done_.load(); }
@@ -41,11 +43,15 @@ class Driver : public Schedulable {
   /// (no Pacer) this is a row count and one null check.
   void Charge(const Operator& op, int64_t rows);
 
+  /// After a pass without progress: registers the driver with every
+  /// structure that holds it up and parks, or runs on if one of them
+  /// changed meanwhile. `idle`: the quantum made no progress at all.
+  Quantum Park(bool idle);
+
   int pipeline_id_;
   int driver_seq_;
   std::vector<OperatorPtr> operators_;
   TaskContext* task_ctx_;
-  const std::atomic<bool>* cancelled_;
   std::atomic<bool> end_requested_{false};
   std::atomic<bool> done_{false};
 

@@ -23,9 +23,11 @@ namespace accordion {
 /// kUnavailable errors are retryable. The fetch happens at once and never
 /// sleeps: it may set `*ready_at_us` (NowMicros epoch) to when the
 /// response arrives, and the caller must not use the pages before then.
+/// A fetch that finds nothing new registers `long_poll` (if given) on the
+/// buffer id, which wakes it once pages or completion arrive.
 using FetchPagesFn = std::function<Result<PagesResult>(
     const RemoteSplit&, int buffer_id, int64_t start_sequence, int max_pages,
-    int64_t* ready_at_us)>;
+    const Waiter* long_poll, int64_t* ready_at_us)>;
 
 /// Task-side client pulling pages from all tasks of one upstream stage
 /// (paper Fig. 7's exchange receive buffer + Fig. 12a's global remote
@@ -33,12 +35,16 @@ using FetchPagesFn = std::function<Result<PagesResult>(
 /// exchange-operator drivers of that pipeline.
 ///
 /// The fetcher is a resumable unit on the shared morsel-scheduler pool
-/// (no dedicated thread): each quantum issues at most one fetch,
-/// round-robining over the upstream tasks, and yields while the simulated
-/// response is in flight, while backpressured by the elastic receive
-/// buffer (§4.2.2), or while backing off after an error. Remote splits
-/// can be added while running — that is what makes upstream intra-stage
-/// DOP increases invisible to the consuming operators.
+/// (no dedicated thread). It fetches round-robin from the upstream tasks
+/// and long-polls them: a fetch that comes back empty leaves the fetcher
+/// registered on that upstream buffer id, and the source is fetched again
+/// only once the buffer signals it. The fetcher parks once every
+/// unfinished source is quiet, and while backpressured by the elastic
+/// receive buffer (§4.2.2), which wakes it when a driver takes a page. It
+/// yields on a timer only while a simulated response is in flight or
+/// while backing off after an error. Remote splits can be added while
+/// running — that is what makes upstream intra-stage DOP increases
+/// invisible to the consuming operators.
 ///
 /// Fault handling: each source keeps its own receive sequence, so a
 /// transient fetch error (injected fault, dropped response) is retried
@@ -64,6 +70,10 @@ class ExchangeClient : public Schedulable {
   /// upstream tasks have completed and the buffer drained.
   PagePtr Poll();
 
+  /// Parks an exchange driver whose Poll returned nullptr until a page or
+  /// the end arrives (see Operator::ParkOn).
+  ParkState ParkConsumer(const Waiter& waiter);
+
   bool complete() const { return complete_.load(); }
   /// True once a fetch failed unrecoverably (also reported to the
   /// TaskContext, from where the coordinator escalates).
@@ -76,7 +86,7 @@ class ExchangeClient : public Schedulable {
   /// Marks the client (and its task) failed; the fetcher idles afterwards.
   void Fail(const Status& status);
   /// Applies a successfully fetched batch whose simulated response has
-  /// arrived: sequences, queue, completion, idle backoff.
+  /// arrived: sequences, queue, completion, quiet sources.
   void CommitPending();
 
   TaskContext* task_ctx_;
@@ -96,9 +106,16 @@ class ExchangeClient : public Schedulable {
     /// Wall-clock start of the current retry run (first failure), for the
     /// deadline check.
     int64_t first_failure_ms = 0;
+    /// The last fetch came back empty and left the fetcher registered on
+    /// the upstream buffer id: skip the source until `signal` is set.
+    bool quiet = false;
+    std::shared_ptr<std::atomic<bool>> signal =
+        std::make_shared<std::atomic<bool>>(false);
   };
   std::vector<Source> sources_;
   std::deque<PagePtr> queue_;
+  WaiterSet consumers_;     // exchange drivers waiting for a page or the end
+  WaiterSet room_waiters_;  // the fetcher, waiting for the queue to drain
   std::atomic<int64_t> buffered_bytes_{0};
   std::atomic<bool> complete_{false};
   std::atomic<bool> failed_{false};
@@ -114,7 +131,6 @@ class ExchangeClient : public Schedulable {
   };
   PendingFetch pending_;
   size_t cursor_ = 0;
-  int64_t empty_streak_ = 0;
   int64_t backoff_until_us_ = 0;
 };
 

@@ -287,7 +287,13 @@ bool JoinBridge::BuildDriverFinished() {
   build_index_us_ = sw.ElapsedMicros();
   if (!status.ok() && task_ctx_ != nullptr) task_ctx_->ReportFailure(status);
   built_.store(true);
+  built_waiters_.WakeAll();
   return true;
+}
+
+ParkState JoinBridge::ParkUntilBuilt(const Waiter& waiter) {
+  built_waiters_.Add(waiter);
+  return built() ? ParkState::kReady : ParkState::kParked;
 }
 
 void JoinBridge::BuildFlatIndexLocked() {

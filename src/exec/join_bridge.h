@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "exec/hash_table.h"
 #include "exec/radix_partitioner.h"
+#include "exec/scheduler.h"
 #include "exec/spill_file.h"
 #include "plan/plan_node.h"
 #include "vector/page.h"
@@ -22,7 +23,7 @@ class TaskContext;
 /// Shared hash-join state connecting a task's build pipeline to its probe
 /// pipeline (paper Fig. 7). Build drivers append pages concurrently; the
 /// last finishing driver constructs the index and flips `built`. Probe
-/// drivers stay blocked until then (paper §4.1).
+/// drivers stay parked on the bridge until then (paper §4.1).
 ///
 /// The index escalates through three shapes as the build side grows —
 /// the decision ladder:
@@ -86,6 +87,9 @@ class JoinBridge {
   bool BuildDriverFinished();
 
   bool built() const { return built_.load(); }
+  /// Parks a probe driver, or a thread waiting for a DOP switch's
+  /// rebuild, until the index is built.
+  ParkState ParkUntilBuilt(const Waiter& waiter);
   /// True once the build side has switched to grace spill.
   bool spilled() const { return spilled_.load(); }
   int64_t build_rows() const;
@@ -276,6 +280,7 @@ class JoinBridge {
   std::atomic<int> build_drivers_{0};
   std::atomic<int> probe_drivers_{0};
   std::atomic<bool> built_{false};
+  WaiterSet built_waiters_;
   std::atomic<bool> spilled_{false};
   std::atomic<int64_t> build_index_us_{0};
 };

@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "exec/config.h"
+#include "exec/scheduler.h"
 #include "vector/page.h"
 
 namespace accordion {
@@ -19,6 +20,9 @@ namespace accordion {
 /// queue drains, every source poll returns the end page. The task can
 /// also post targeted end pages to retire exactly one source driver
 /// (intra-task DOP decrease).
+///
+/// Source drivers that find the queue empty and sink drivers that find it
+/// full park on it; every page, end page and last sink finish wakes them.
 class LocalExchange {
  public:
   explicit LocalExchange(const EngineConfig* config) : config_(config) {}
@@ -39,6 +43,11 @@ class LocalExchange {
   /// shut down (paper's end-signal for source pipelines).
   void PostEndPage();
 
+  /// Parks a source driver until a page or the end arrives, or a sink
+  /// driver until the queue has room (see Operator::ParkOn).
+  ParkState ParkSource(const Waiter& waiter);
+  ParkState ParkSink(const Waiter& waiter);
+
   int64_t queued_bytes() const { return queued_bytes_.load(); }
 
  private:
@@ -52,6 +61,8 @@ class LocalExchange {
   std::atomic<int64_t> queued_bytes_{0};
   std::atomic<int> sink_drivers_{0};
   std::atomic<bool> started_{false};
+  WaiterSet sources_;  // waiting for a page or the end
+  WaiterSet sinks_;    // waiting for room
 };
 
 }  // namespace accordion

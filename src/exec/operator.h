@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "exec/scheduler.h"
 #include "exec/task_context.h"
 #include "vector/page.h"
 
@@ -48,6 +49,17 @@ class Operator {
 
   bool IsFinished() const { return state_ == OperatorState::kFinished; }
   OperatorState state() const { return state_; }
+
+  /// Called by a driver that made no progress, on each operator that held
+  /// it up. An operator waiting on a shared structure — an empty exchange,
+  /// a full buffer, an unbuilt join bridge — registers `waiter` there and
+  /// returns kParked, or kReady if the structure changed since the driver
+  /// looked. Operators that wait only on their neighbours return
+  /// kNotBlocked.
+  virtual ParkState ParkOn(const Waiter& waiter) {
+    (void)waiter;
+    return ParkState::kNotBlocked;
+  }
 
   /// Per-row virtual CPU cost this operator charges (microseconds).
   virtual double CostPerRowMicros() const = 0;

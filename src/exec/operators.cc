@@ -152,6 +152,9 @@ class ExchangeOperator : public Operator {
   }
 
   void SignalEnd() override { end_signalled_ = true; }
+  ParkState ParkOn(const Waiter& waiter) override {
+    return client_->ParkConsumer(waiter);
+  }
   double CostPerRowMicros() const override {
     return task_ctx_->config().cost.exchange_us;
   }
@@ -195,6 +198,9 @@ class LocalExchangeSourceOperator : public Operator {
   }
 
   void SignalEnd() override { end_signalled_ = true; }
+  ParkState ParkOn(const Waiter& waiter) override {
+    return exchange_->ParkSource(waiter);
+  }
   double CostPerRowMicros() const override {
     return task_ctx_->config().cost.local_exchange_us;
   }
@@ -348,6 +354,13 @@ class LookupJoinOperator : public Operator {
     // Paper §4.1: probing waits for the build side to complete.
     return state_ == OperatorState::kRunning && bridge_->built() &&
            pending_.empty();
+  }
+
+  ParkState ParkOn(const Waiter& waiter) override {
+    if (state_ != OperatorState::kRunning || bridge_->built()) {
+      return ParkState::kNotBlocked;
+    }
+    return bridge_->ParkUntilBuilt(waiter);
   }
 
   void AddInput(const PagePtr& page) override {
@@ -1361,6 +1374,11 @@ class LocalExchangeSinkOperator : public Operator {
     return state_ == OperatorState::kRunning && exchange_->AcceptingInput();
   }
 
+  ParkState ParkOn(const Waiter& waiter) override {
+    if (state_ != OperatorState::kRunning) return ParkState::kNotBlocked;
+    return exchange_->ParkSink(waiter);
+  }
+
   void AddInput(const PagePtr& page) override { exchange_->Enqueue(page); }
 
   PagePtr GetOutput() override {
@@ -1446,6 +1464,11 @@ class TaskOutputOperator : public Operator {
 
   bool NeedsInput() const override {
     return state_ == OperatorState::kRunning && buffer_->AcceptingInput();
+  }
+
+  ParkState ParkOn(const Waiter& waiter) override {
+    if (state_ != OperatorState::kRunning) return ParkState::kNotBlocked;
+    return buffer_->ParkProducer(waiter);
   }
 
   void AddInput(const PagePtr& page) override {

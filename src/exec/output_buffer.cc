@@ -25,15 +25,15 @@ bool ElasticCapacity::Accepting(int64_t queued_bytes) const {
   return queued_bytes < capacity_.load();
 }
 
-void ElasticCapacity::OnEmptyPop() {
-  if (!config_->elastic_buffers) return;
+bool ElasticCapacity::OnEmptyPop() {
+  if (!config_->elastic_buffers) return false;
   int64_t cap = capacity_.load();
   int64_t grown = std::min(config_->memory.max_buffer_bytes, cap * 2);
-  if (grown != cap) {
-    capacity_.store(grown);
-    ++turn_ups_;
-    if (task_ctx_ != nullptr) task_ctx_->BufferTurnUp();
-  }
+  if (grown == cap) return false;
+  capacity_.store(grown);
+  ++turn_ups_;
+  if (task_ctx_ != nullptr) task_ctx_->BufferTurnUp();
+  return true;
 }
 
 void ElasticCapacity::OnConsume(int64_t bytes) {
@@ -65,6 +65,25 @@ void OutputBuffer::ProducerDriverFinished() {
   producers_started_ = true;
   int remaining = --producer_drivers_;
   ACC_CHECK(remaining >= 0) << "producer driver count underflow";
+  // The end may now be observable (and idle shuffle executors may finish).
+  if (remaining == 0) WakeAllWaiters();
+}
+
+ParkState OutputBuffer::ParkProducer(const Waiter& waiter) {
+  producers_.Add(waiter);
+  return AcceptingInput() ? ParkState::kReady : ParkState::kParked;
+}
+
+void OutputBuffer::WakeAllWaiters() { producers_.WakeAll(); }
+
+void OutputBuffer::AfterTake(int64_t bytes, bool complete) {
+  bool room = bytes > 0;
+  if (room) {
+    capacity_.OnConsume(bytes);
+  } else if (!complete) {
+    room = capacity_.OnEmptyPop();
+  }
+  if (room) producers_.WakeAll();
 }
 
 void OutputBuffer::AddTaskGroup(int count, int first_buffer_id) {
@@ -76,7 +95,7 @@ void OutputBuffer::SwitchToNewestGroup() {
 }
 
 PagesResult OutputBuffer::GetPages(int buffer_id, int64_t start_sequence,
-                                   int max_pages) {
+                                   int max_pages, const Waiter* waiter) {
   std::lock_guard<std::mutex> lock(stream_mutex_);
   ConsumerStream& stream = streams_[buffer_id];
   if (start_sequence == kAutoSequence) start_sequence = stream.next_sequence;
@@ -100,7 +119,7 @@ PagesResult OutputBuffer::GetPages(int buffer_id, int64_t start_sequence,
             stream.next_sequence;
     return result;
   }
-  PagesResult result = FetchNewPages(buffer_id, max_pages);
+  PagesResult result = FetchNewPages(buffer_id, max_pages, waiter);
   for (const auto& page : result.pages) {
     stream.window.push_back(page);
     ++stream.next_sequence;
@@ -128,12 +147,16 @@ bool SharedBuffer::AcceptingInput() const {
 
 void SharedBuffer::Enqueue(const PagePtr& page) {
   producers_started_ = true;
-  std::lock_guard<std::mutex> lock(mutex_);
-  queue_.push_back(page);
-  queued_bytes_ += page->ByteSize();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    queue_.push_back(page);
+    queued_bytes_ += page->ByteSize();
+  }
+  consumers_.WakeAll();
 }
 
-PagesResult SharedBuffer::FetchNewPages(int buffer_id, int max_pages) {
+PagesResult SharedBuffer::FetchNewPages(int buffer_id, int max_pages,
+                                        const Waiter* waiter) {
   PagesResult result;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -151,18 +174,14 @@ PagesResult SharedBuffer::FetchNewPages(int buffer_id, int max_pages) {
     }
     if (queue_.empty() && NoMoreInput()) {
       result.complete = true;
-      if (buffer_id < static_cast<int>(consumer_done_.size())) {
-        consumer_done_[buffer_id] = true;
-      }
+      consumer_done_[buffer_id] = true;
+    } else if (result.pages.empty() && waiter != nullptr) {
+      consumers_.Add(*waiter);
     }
   }
   int64_t bytes = result.TotalBytes();
   queued_bytes_ -= bytes;
-  if (bytes > 0) {
-    capacity_.OnConsume(bytes);
-  } else if (!result.complete) {
-    capacity_.OnEmptyPop();
-  }
+  AfterTake(bytes, result.complete);
   return result;
 }
 
@@ -174,11 +193,22 @@ void SharedBuffer::SetConsumerCount(int n) {
 }
 
 void SharedBuffer::EndSignal(int buffer_id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (buffer_id >= static_cast<int>(consumer_done_.size())) {
-    consumer_done_.resize(buffer_id + 1, false);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (buffer_id >= static_cast<int>(consumer_done_.size())) {
+      consumer_done_.resize(buffer_id + 1, false);
+    }
+    consumer_done_[buffer_id] = true;
   }
-  consumer_done_[buffer_id] = true;
+  consumers_.WakeAll();
+}
+
+void SharedBuffer::WakeAllWaiters() {
+  // Orders the wake after any consumer that checked NoMoreInput under the
+  // lock and registered: it is in the set by now.
+  { std::lock_guard<std::mutex> lock(mutex_); }
+  consumers_.WakeAll();
+  OutputBuffer::WakeAllWaiters();
 }
 
 bool SharedBuffer::AllConsumersDone() const {
@@ -219,12 +249,16 @@ bool BroadcastBuffer::AcceptingInput() const {
 
 void BroadcastBuffer::Enqueue(const PagePtr& page) {
   producers_started_ = true;
-  std::lock_guard<std::mutex> lock(mutex_);
-  cache_.push_back(page);
-  queued_bytes_ += page->ByteSize();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    cache_.push_back(page);
+    queued_bytes_ += page->ByteSize();
+  }
+  consumer_waiters_.WakeAll();
 }
 
-PagesResult BroadcastBuffer::FetchNewPages(int buffer_id, int max_pages) {
+PagesResult BroadcastBuffer::FetchNewPages(int buffer_id, int max_pages,
+                                           const Waiter* waiter) {
   PagesResult result;
   int64_t bytes = 0;
   {
@@ -244,14 +278,12 @@ PagesResult BroadcastBuffer::FetchNewPages(int buffer_id, int max_pages) {
     if (consumer.next_page == cache_.size() && NoMoreInput()) {
       result.complete = true;
       consumer.done = true;
+    } else if (result.pages.empty() && waiter != nullptr) {
+      consumer_waiters_.Add(*waiter);
     }
     bytes = result.TotalBytes();
   }
-  if (bytes > 0) {
-    capacity_.OnConsume(bytes);
-  } else if (!result.complete) {
-    capacity_.OnEmptyPop();
-  }
+  AfterTake(bytes, result.complete);
   return result;
 }
 
@@ -261,11 +293,20 @@ void BroadcastBuffer::SetConsumerCount(int n) {
 }
 
 void BroadcastBuffer::EndSignal(int buffer_id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (buffer_id >= static_cast<int>(consumers_.size())) {
-    consumers_.resize(buffer_id + 1);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (buffer_id >= static_cast<int>(consumers_.size())) {
+      consumers_.resize(buffer_id + 1);
+    }
+    consumers_[buffer_id].done = true;
   }
-  consumers_[buffer_id].done = true;
+  WakeAllWaiters();  // its consumer completes; the backlog may shrink
+}
+
+void BroadcastBuffer::WakeAllWaiters() {
+  { std::lock_guard<std::mutex> lock(mutex_); }
+  consumer_waiters_.WakeAll();
+  OutputBuffer::WakeAllWaiters();
 }
 
 bool BroadcastBuffer::AllConsumersDone() const {
@@ -282,36 +323,55 @@ bool BroadcastBuffer::AllConsumersDone() const {
 // ShuffleBuffer
 // ---------------------------------------------------------------------------
 
+void ShuffleBuffer::Group::Resize(int n) {
+  count = n;
+  queues.resize(n);
+  done.resize(n, false);
+  queued.resize(n, 0);
+  while (static_cast<int>(waiters.size()) < n) {
+    waiters.push_back(std::make_unique<WaiterSet>());
+  }
+}
+
 ShuffleBuffer::ShuffleBuffer(OutputBufferConfig config, TaskContext* task_ctx)
     : OutputBuffer(std::move(config), task_ctx) {
   ACC_CHECK(!config_.keys.empty()) << "shuffle buffer requires hash keys";
   Group group;
   group.first_buffer_id = config_.first_buffer_id;
-  group.count = config_.initial_consumers;
-  group.queues.resize(group.count);
-  group.done.resize(group.count, false);
-  group.queued.resize(group.count, 0);
+  group.Resize(config_.initial_consumers);
   groups_.push_back(std::move(group));
-  int executors = task_ctx_->config().shuffle_executors;
-  executors_.reserve(executors);
-  MorselScheduler* scheduler = task_ctx_->scheduler();
-  for (int i = 0; i < executors; ++i) {
-    executors_.push_back(std::make_unique<ExecutorUnit>(this));
-    scheduler->Enqueue(task_ctx_->scheduler_group(),
-                       NonOwning(executors_.back().get()));
+  std::vector<ExecutorUnit*> units;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    units = NewExecutorsLocked();
   }
+  EnqueueExecutors(units);
 }
 
 ShuffleBuffer::~ShuffleBuffer() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
   // Retire before the members are destroyed: blocks at most one in-flight
   // quantum per unit (the old thread-join here was the TSan-flagged
   // destruction race when executors outlived the buffer's fields).
   MorselScheduler* scheduler = task_ctx_->scheduler();
   for (auto& unit : executors_) scheduler->Retire(unit.get());
+}
+
+std::vector<ShuffleBuffer::ExecutorUnit*> ShuffleBuffer::NewExecutorsLocked() {
+  std::vector<ExecutorUnit*> units;
+  const int n = task_ctx_->config().shuffle_executors;
+  for (int i = 0; i < n; ++i) {
+    executors_.push_back(std::make_unique<ExecutorUnit>(this));
+    units.push_back(executors_.back().get());
+  }
+  live_executors_ += n;
+  return units;
+}
+
+void ShuffleBuffer::EnqueueExecutors(const std::vector<ExecutorUnit*>& units) {
+  MorselScheduler* scheduler = task_ctx_->scheduler();
+  for (ExecutorUnit* unit : units) {
+    scheduler->Enqueue(task_ctx_->scheduler_group(), NonOwning(unit));
+  }
 }
 
 bool ShuffleBuffer::AcceptingInput() const {
@@ -320,22 +380,26 @@ bool ShuffleBuffer::AcceptingInput() const {
 
 void ShuffleBuffer::Enqueue(const PagePtr& page) {
   producers_started_ = true;
+  std::vector<ExecutorUnit*> restarted;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     input_queue_.emplace_back(next_seq_++, page);
     queued_bytes_ += page->ByteSize();
     if (config_.retain_cache) cache_.push_back(page);
+    // The executors finished once the input ended. A producer driver added
+    // after that (a task DOP raise) still gets its pages delivered.
+    if (live_executors_ == 0) restarted = NewExecutorsLocked();
   }
-  // Kick idle executors out of their poll backoff.
-  MorselScheduler* scheduler = task_ctx_->scheduler();
-  for (auto& unit : executors_) scheduler->Wake(unit.get());
+  EnqueueExecutors(restarted);
+  input_waiters_.WakeAll();
 }
 
-void ShuffleBuffer::PartitionIntoGroupLocked(const PagePtr& page,
-                                             Group* group) {
+void ShuffleBuffer::PartitionIntoGroupLocked(const PagePtr& page, Group* group,
+                                             std::vector<WaiterSet*>* woken) {
   if (group->count == 1) {
     group->queues[0].push_back(page);
     group->queued[0] += page->ByteSize();
+    woken->push_back(group->waiters[0].get());
     return;
   }
   // Batch-hash, split into selection vectors, then scatter each partition
@@ -352,7 +416,16 @@ void ShuffleBuffer::PartitionIntoGroupLocked(const PagePtr& page,
     PagePtr part = GatherSelection(*page, scatter_selections_[p]);
     group->queues[p].push_back(part);
     group->queued[p] += part->ByteSize();
+    woken->push_back(group->waiters[p].get());
   }
+}
+
+std::vector<WaiterSet*> ShuffleBuffer::AllConsumerWaitersLocked() {
+  std::vector<WaiterSet*> sets;
+  for (Group& group : groups_) {
+    for (auto& waiters : group.waiters) sets.push_back(waiters.get());
+  }
+  return sets;
 }
 
 Schedulable::Quantum ShuffleBuffer::ExecutorUnit::RunQuantum(
@@ -363,35 +436,51 @@ Schedulable::Quantum ShuffleBuffer::ExecutorUnit::RunQuantum(
 Schedulable::Quantum ShuffleBuffer::ExecutorQuantum(ExecutorUnit* unit,
                                                     int64_t quantum_us) {
   const int64_t deadline_us = NowMicros() + quantum_us;
+  bool delivered = false;
   while (true) {
     if (unit->active_) {
       // Deliver the popped page once its simulated shuffle CPU is granted.
       if (NowMicros() < unit->grant_us_) {
         return Schedulable::Quantum::Waiting(unit->grant_us_);
       }
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (size_t g = 0; g < groups_.size(); ++g) {
-        Group& group = groups_[g];
-        bool deliver = config_.multicast_groups
-                           ? group.routing
-                           : static_cast<int>(g) == active_group_;
-        // Pages predating the group arrived through the cache replay.
-        if (deliver && group.routing && unit->seq_ >= group.created_seq) {
-          PartitionIntoGroupLocked(unit->page_, &group);
+      std::vector<WaiterSet*> woken;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (size_t g = 0; g < groups_.size(); ++g) {
+          Group& group = groups_[g];
+          bool deliver = config_.multicast_groups
+                             ? group.routing
+                             : static_cast<int>(g) == active_group_;
+          // Pages predating the group arrived through the cache replay.
+          if (deliver && group.routing && unit->seq_ >= group.created_seq) {
+            PartitionIntoGroupLocked(unit->page_, &group, &woken);
+          }
+        }
+        --in_flight_;
+        unit->active_ = false;
+        unit->page_ = nullptr;
+        delivered = true;
+        // Streams that waited only for in-flight rows may complete now.
+        if (DrainedLocked()) {
+          for (Group& group : groups_) {
+            if (!NoMoreInput() && group.routing) continue;
+            for (auto& waiters : group.waiters) woken.push_back(waiters.get());
+          }
         }
       }
-      --in_flight_;
-      unit->active_ = false;
-      unit->page_ = nullptr;
+      for (WaiterSet* waiters : woken) waiters->WakeAll();
     }
     if (NowMicros() >= deadline_us) return Schedulable::Quantum::Runnable();
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (shutdown_) return Schedulable::Quantum::Finished();
+      if (task_ctx_->cancelled() || (input_queue_.empty() && NoMoreInput())) {
+        --live_executors_;
+        return Schedulable::Quantum::Finished();
+      }
       if (input_queue_.empty()) {
-        // Enqueue() wakes us early; this is just the fallback poll.
-        return Schedulable::Quantum::Waiting(
-            NowMicros() + task_ctx_->config().driver_idle_sleep_us);
+        // Enqueue, the last producer's finish and Task::Abort wake us.
+        input_waiters_.Add(Waiter{task_ctx_->scheduler(), unit});
+        return Schedulable::Quantum::Parked(/*idle=*/!delivered);
       }
       unit->seq_ = input_queue_.front().first;
       unit->page_ = input_queue_.front().second;
@@ -409,7 +498,8 @@ bool ShuffleBuffer::DrainedLocked() const {
   return input_queue_.empty() && in_flight_ == 0 && replaying_ == 0;
 }
 
-PagesResult ShuffleBuffer::FetchNewPages(int buffer_id, int max_pages) {
+PagesResult ShuffleBuffer::FetchNewPages(int buffer_id, int max_pages,
+                                         const Waiter* waiter) {
   PagesResult result;
   int64_t bytes = 0;
   {
@@ -441,48 +531,57 @@ PagesResult ShuffleBuffer::FetchNewPages(int buffer_id, int max_pages) {
     if (queue.empty() && no_more_for_group) {
       result.complete = true;
       group->done[index] = true;
+    } else if (result.pages.empty() && waiter != nullptr) {
+      group->waiters[index]->Add(*waiter);
     }
   }
   queued_bytes_ -= bytes;
-  if (bytes > 0) {
-    capacity_.OnConsume(bytes);
-  } else if (!result.complete) {
-    capacity_.OnEmptyPop();
-  }
+  AfterTake(bytes, result.complete);
   return result;
 }
 
 void ShuffleBuffer::SetConsumerCount(int n) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ACC_CHECK(groups_.size() == 1)
-      << "SetConsumerCount after task groups were added";
-  Group& group = groups_[0];
-  n -= group.first_buffer_id;
-  if (n <= group.count) return;
-  // Growing the primary group would misroute already-partitioned rows for
-  // stateful consumers; stateless consumers tolerate it. Re-partitioning
-  // of queued-but-undelivered pages keeps hash consumers correct.
-  std::vector<PagePtr> pending;
-  for (auto& queue : group.queues) {
-    for (auto& page : queue) pending.push_back(page);
-    queue.clear();
+  std::vector<WaiterSet*> woken;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ACC_CHECK(groups_.size() == 1)
+        << "SetConsumerCount after task groups were added";
+    Group& group = groups_[0];
+    n -= group.first_buffer_id;
+    if (n <= group.count) return;
+    // Growing the primary group would misroute already-partitioned rows
+    // for stateful consumers; stateless consumers tolerate it.
+    // Re-partitioning of queued-but-undelivered pages keeps hash consumers
+    // correct.
+    std::vector<PagePtr> pending;
+    for (auto& queue : group.queues) {
+      for (auto& page : queue) pending.push_back(page);
+      queue.clear();
+    }
+    group.Resize(n);
+    group.done.assign(n, false);
+    group.queued.assign(n, 0);
+    for (const auto& page : pending) {
+      PartitionIntoGroupLocked(page, &group, &woken);
+    }
   }
-  group.count = n;
-  group.queues.assign(n, {});
-  group.done.assign(n, false);
-  group.queued.assign(n, 0);
-  for (const auto& page : pending) PartitionIntoGroupLocked(page, &group);
+  for (WaiterSet* waiters : woken) waiters->WakeAll();
 }
 
 void ShuffleBuffer::EndSignal(int buffer_id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& group : groups_) {
-    if (buffer_id >= group.first_buffer_id &&
-        buffer_id < group.first_buffer_id + group.count) {
-      group.done[buffer_id - group.first_buffer_id] = true;
-      return;
+  WaiterSet* woken = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (auto& group : groups_) {
+      if (buffer_id >= group.first_buffer_id &&
+          buffer_id < group.first_buffer_id + group.count) {
+        group.done[buffer_id - group.first_buffer_id] = true;
+        woken = group.waiters[buffer_id - group.first_buffer_id].get();
+        break;
+      }
     }
   }
+  if (woken != nullptr) woken->WakeAll();
 }
 
 bool ShuffleBuffer::AllConsumersDone() const {
@@ -497,9 +596,21 @@ bool ShuffleBuffer::AllConsumersDone() const {
   return true;
 }
 
+void ShuffleBuffer::WakeAllWaiters() {
+  std::vector<WaiterSet*> sets;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    sets = AllConsumerWaitersLocked();
+  }
+  for (WaiterSet* waiters : sets) waiters->WakeAll();
+  input_waiters_.WakeAll();
+  OutputBuffer::WakeAllWaiters();
+}
+
 void ShuffleBuffer::AddTaskGroup(int count, int first_buffer_id) {
   ACC_CHECK(count > 0);
   std::vector<PagePtr> replay;
+  size_t group_index = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const Group& existing : groups_) {
@@ -508,46 +619,51 @@ void ShuffleBuffer::AddTaskGroup(int count, int first_buffer_id) {
     }
     Group group;
     group.first_buffer_id = first_buffer_id;
-    group.count = count;
     group.created_seq = next_seq_;
-    group.queues.resize(count);
-    group.done.resize(count, false);
-    group.queued.resize(count, 0);
+    group.Resize(count);
     groups_.push_back(std::move(group));
+    group_index = groups_.size() - 1;
     replay = cache_;  // snapshot: later pages reach the group via routing
     ++replaying_;
   }
   // Reshuffle the cache into the new group (Table 2's "shuffle time"),
   // blocking the calling control-plane thread on the simulated shuffle CPU.
   int64_t bytes = 0;
-  size_t group_index = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    group_index = groups_.size() - 1;
-  }
   Pacer* pacer = task_ctx_->pacer();
+  std::vector<WaiterSet*> woken;
   for (const auto& page : replay) {
     if (pacer != nullptr) {
       SleepUntilMicros(pacer->ChargeShuffle(page->num_rows()));
     }
     bytes += page->ByteSize();
-    std::lock_guard<std::mutex> lock(mutex_);
-    PartitionIntoGroupLocked(page, &groups_[group_index]);
+    woken.clear();
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      PartitionIntoGroupLocked(page, &groups_[group_index], &woken);
+    }
+    for (WaiterSet* waiters : woken) waiters->WakeAll();
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     --replaying_;
+    woken = AllConsumerWaitersLocked();
   }
+  for (WaiterSet* waiters : woken) waiters->WakeAll();
   last_reshuffle_bytes_ = bytes;
 }
 
 void ShuffleBuffer::SwitchToNewestGroup() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  int newest = static_cast<int>(groups_.size()) - 1;
-  for (int g = 0; g < static_cast<int>(groups_.size()); ++g) {
-    groups_[g].routing = g == newest;
+  std::vector<WaiterSet*> woken;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    int newest = static_cast<int>(groups_.size()) - 1;
+    for (int g = 0; g < static_cast<int>(groups_.size()); ++g) {
+      groups_[g].routing = g == newest;
+    }
+    active_group_ = newest;
+    woken = AllConsumerWaitersLocked();  // old groups may complete now
   }
-  active_group_ = newest;
+  for (WaiterSet* waiters : woken) waiters->WakeAll();
 }
 
 int ShuffleBuffer::NumGroups() const {

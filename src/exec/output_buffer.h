@@ -44,8 +44,9 @@ class ElasticCapacity {
   /// Producer-side check: may more bytes be buffered?
   bool Accepting(int64_t queued_bytes) const;
 
-  /// Consumer found the buffer empty while expecting data.
-  void OnEmptyPop();
+  /// Consumer found the buffer empty while expecting data. Returns true
+  /// if that grew the capacity.
+  bool OnEmptyPop();
 
   /// Consumer took `bytes` out; also drives the periodic re-fit.
   void OnConsume(int64_t bytes);
@@ -87,6 +88,13 @@ struct OutputBufferConfig {
 /// Producer/consumer bridge between one task and its downstream stage
 /// (paper §4.2.1): owns data distribution, shuffling and DOP-variation
 /// adaptation, so that parallelism changes touch only buffers.
+///
+/// Waiting is event-driven on both sides: a task-output driver that finds
+/// the buffer full parks on its capacity, and a consumer whose GetPages
+/// finds nothing new for its buffer id registers on that id (the
+/// exchange fetcher's long-poll, and the coordinator's root fetch). Pages
+/// taken wake the producers; pages, completion, end signals and task-group
+/// changes wake the consumers.
 class OutputBuffer {
  public:
   OutputBuffer(OutputBufferConfig config, TaskContext* task_ctx);
@@ -96,9 +104,17 @@ class OutputBuffer {
   virtual bool AcceptingInput() const = 0;
   virtual void Enqueue(const PagePtr& page) = 0;
 
+  /// Parks a task-output driver until the buffer accepts input again
+  /// (see Operator::ParkOn).
+  ParkState ParkProducer(const Waiter& waiter);
+
   /// Tracks the number of task-output drivers feeding this buffer.
   void AddProducerDriver() { ++producer_drivers_; }
   void ProducerDriverFinished();
+
+  /// Wakes every unit and thread parked on the buffer (task abort, last
+  /// producer finished).
+  virtual void WakeAllWaiters();
 
   // --- consumer side (downstream exchange clients, via RPC) ---
 
@@ -110,9 +126,12 @@ class OutputBuffer {
   /// old sequence and gets exactly the same pages again — a dropped
   /// GetPages response is invisible to the query. Completion is likewise
   /// re-observable. Pass kAutoSequence for local consumers that never
-  /// retry (acks everything outstanding, serves only new pages).
+  /// retry (acks everything outstanding, serves only new pages). When
+  /// nothing new is there yet, `waiter` (if given) is registered on the
+  /// buffer id and woken once pages or completion arrive.
   static constexpr int64_t kAutoSequence = -1;
-  PagesResult GetPages(int buffer_id, int64_t start_sequence, int max_pages);
+  PagesResult GetPages(int buffer_id, int64_t start_sequence, int max_pages,
+                       const Waiter* waiter = nullptr);
 
   /// Legacy single-shot form: no resume window (every page is delivered
   /// exactly once, immediately acked).
@@ -148,8 +167,14 @@ class OutputBuffer {
  protected:
   /// Implementation hook: hands out the next batch of *new* pages for
   /// `buffer_id` (destructive pop). The resume window above it makes the
-  /// public GetPages retry-safe.
-  virtual PagesResult FetchNewPages(int buffer_id, int max_pages) = 0;
+  /// public GetPages retry-safe. An empty, incomplete result registers
+  /// `waiter` (if any) on the buffer id, under the lock that found it so.
+  virtual PagesResult FetchNewPages(int buffer_id, int max_pages,
+                                    const Waiter* waiter) = 0;
+
+  /// Updates the elastic capacity after a consumer took `bytes` (or found
+  /// nothing), and wakes the producers if that made room.
+  void AfterTake(int64_t bytes, bool complete);
 
   bool NoMoreInput() const {
     return producers_started_ && producer_drivers_.load() == 0;
@@ -161,6 +186,7 @@ class OutputBuffer {
   std::atomic<int64_t> queued_bytes_{0};
   std::atomic<int> producer_drivers_{0};
   std::atomic<bool> producers_started_{false};
+  WaiterSet producers_;  // task-output drivers waiting for room
 
  private:
   /// Per-consumer delivery stream backing the resume protocol.
@@ -186,14 +212,17 @@ class SharedBuffer : public OutputBuffer {
   void SetConsumerCount(int n) override;
   void EndSignal(int buffer_id) override;
   bool AllConsumersDone() const override;
+  void WakeAllWaiters() override;
 
  protected:
-  PagesResult FetchNewPages(int buffer_id, int max_pages) override;
+  PagesResult FetchNewPages(int buffer_id, int max_pages,
+                            const Waiter* waiter) override;
 
  private:
   mutable std::mutex mutex_;
   std::deque<PagePtr> queue_;
   std::vector<bool> consumer_done_;  // indexed by buffer id
+  WaiterSet consumers_;  // any consumer may take any page
 };
 
 /// Replicating buffer for broadcast joins (Fig. 16a): every consumer gets
@@ -208,9 +237,11 @@ class BroadcastBuffer : public OutputBuffer {
   void SetConsumerCount(int n) override;
   void EndSignal(int buffer_id) override;
   bool AllConsumersDone() const override;
+  void WakeAllWaiters() override;
 
  protected:
-  PagesResult FetchNewPages(int buffer_id, int max_pages) override;
+  PagesResult FetchNewPages(int buffer_id, int max_pages,
+                            const Waiter* waiter) override;
 
  private:
   struct Consumer {
@@ -221,6 +252,7 @@ class BroadcastBuffer : public OutputBuffer {
   mutable std::mutex mutex_;
   std::vector<PagePtr> cache_;
   std::vector<Consumer> consumers_;
+  WaiterSet consumer_waiters_;  // every page is for every consumer
 };
 
 /// Hash-partitioned buffer with shuffle executors, page cache, buffer-ID
@@ -231,9 +263,12 @@ class BroadcastBuffer : public OutputBuffer {
 /// pool (not dedicated threads): each pops a page, on a simulated cluster
 /// charges the shuffle CPU cost to the worker's Pacer and yields the pool
 /// thread until the grant time, then partitions the page into the live
-/// task groups. A page
-/// counts as in-flight from pop to delivery, so consumers never observe a
-/// spurious completion while its rows are mid-shuffle.
+/// task groups, waking the consumers of each buffer id that got rows. A
+/// page counts as in-flight from pop to delivery, so consumers never
+/// observe a spurious completion while its rows are mid-shuffle. An idle
+/// executor parks on the input queue; once the input has ended and
+/// drained, the executors finish (an Enqueue after that starts fresh
+/// ones).
 class ShuffleBuffer : public OutputBuffer {
  public:
   ShuffleBuffer(OutputBufferConfig config, TaskContext* task_ctx);
@@ -244,6 +279,7 @@ class ShuffleBuffer : public OutputBuffer {
   void SetConsumerCount(int n) override;
   void EndSignal(int buffer_id) override;
   bool AllConsumersDone() const override;
+  void WakeAllWaiters() override;
 
   /// Idempotent: a group with the same first_buffer_id already exists ->
   /// no-op (a retried AddOutputTaskGroup RPC must not double-create).
@@ -258,7 +294,8 @@ class ShuffleBuffer : public OutputBuffer {
   int64_t last_reshuffle_bytes() const { return last_reshuffle_bytes_.load(); }
 
  protected:
-  PagesResult FetchNewPages(int buffer_id, int max_pages) override;
+  PagesResult FetchNewPages(int buffer_id, int max_pages,
+                            const Waiter* waiter) override;
 
  private:
   struct Group {
@@ -271,6 +308,10 @@ class ShuffleBuffer : public OutputBuffer {
     std::vector<std::deque<PagePtr>> queues;
     std::vector<bool> done;       // end-signalled consumers
     std::vector<int64_t> queued;  // bytes per queue
+    /// Consumers parked on each buffer id (heap cells: groups_ moves).
+    std::vector<std::unique_ptr<WaiterSet>> waiters;
+
+    void Resize(int n);
   };
 
   /// One pool-scheduled shuffle executor. State that crosses quanta (the
@@ -291,9 +332,17 @@ class ShuffleBuffer : public OutputBuffer {
   };
 
   Schedulable::Quantum ExecutorQuantum(ExecutorUnit* unit, int64_t quantum_us);
-  /// Partitions `page` into `group`'s queues. Caller holds mutex_.
-  void PartitionIntoGroupLocked(const PagePtr& page, Group* group);
+  /// Creates `shuffle_executors` fresh executor units and returns them for
+  /// the caller to enqueue once it dropped mutex_. Caller holds mutex_.
+  std::vector<ExecutorUnit*> NewExecutorsLocked();
+  void EnqueueExecutors(const std::vector<ExecutorUnit*>& units);
+  /// Partitions `page` into `group`'s queues and collects the waiter sets
+  /// of the ids that received rows into `woken`. Caller holds mutex_.
+  void PartitionIntoGroupLocked(const PagePtr& page, Group* group,
+                                std::vector<WaiterSet*>* woken);
   bool DrainedLocked() const;
+  /// Every consumer waiter set (for wakes that may complete any stream).
+  std::vector<WaiterSet*> AllConsumerWaitersLocked();
 
   mutable std::mutex mutex_;
   std::deque<std::pair<int64_t, PagePtr>> input_queue_;  // (seq, page)
@@ -303,9 +352,10 @@ class ShuffleBuffer : public OutputBuffer {
   int active_group_ = 0;
   int in_flight_ = 0;   // pages popped but not yet delivered
   int replaying_ = 0;   // active AddTaskGroup cache replays
-  bool shutdown_ = false;
+  int live_executors_ = 0;  // executor units not yet finished
   std::atomic<int64_t> last_reshuffle_bytes_{0};
   std::vector<std::unique_ptr<ExecutorUnit>> executors_;
+  WaiterSet input_waiters_;  // idle executors
   // Scatter scratch reused across pages; guarded by mutex_ (the partition
   // step runs locked).
   std::vector<uint64_t> scatter_hashes_;

@@ -118,17 +118,34 @@ void MorselScheduler::Wake(Schedulable* unit) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = units_.find(unit);
-    if (it == units_.end() || it->second.state != UnitState::kWaiting) return;
-    ++it->second.wait_epoch;  // invalidate the pending timer entry
-    it->second.state = UnitState::kQueued;
-    groups_[it->second.group].runnable.push_back(unit);
+    if (it == units_.end()) return;
+    Unit& entry = it->second;
+    entry.fallback_resume = false;  // the wake came, if late
+    SettleSuspectLocked(&entry, NowMicros());
+    entry.suspect_us = 0;
+    if (entry.state == UnitState::kRunning) {
+      entry.wake_pending = true;
+      return;
+    }
+    if (entry.state != UnitState::kWaiting) return;
+    ++entry.wait_epoch;  // invalidate the pending timer entry
+    entry.state = UnitState::kQueued;
+    groups_[entry.group].runnable.push_back(unit);
   }
   work_cv_.notify_one();
+}
+
+void MorselScheduler::SettleSuspectLocked(Unit* unit, int64_t now_us) {
+  if (unit->suspect_us != 0 && now_us - unit->suspect_us >= kWakeGraceUs) {
+    ++fallback_resumes_;
+    unit->suspect_us = 0;
+  }
 }
 
 void MorselScheduler::EraseUnitLocked(Schedulable* unit) {
   auto it = units_.find(unit);
   ACC_CHECK(it != units_.end());
+  SettleSuspectLocked(&it->second, NowMicros());
   auto git = groups_.find(it->second.group);
   ACC_CHECK(git != groups_.end());
   Group& g = git->second;
@@ -165,6 +182,7 @@ void MorselScheduler::PromoteTimersLocked(int64_t now_us) {
         it->second.wait_epoch != timer.wait_epoch) {
       continue;  // stale entry (unit woken, retired or finished)
     }
+    it->second.fallback_resume = it->second.parked;
     it->second.state = UnitState::kQueued;
     groups_[it->second.group].runnable.push_back(timer.unit);
   }
@@ -214,18 +232,34 @@ void MorselScheduler::WorkerLoop() {
     ACC_CHECK(it != units_.end());
     Group& g = groups_.at(it->second.group);
     g.vruntime += static_cast<double>(elapsed_us) / g.weight;
-    if (it->second.retire_requested ||
-        quantum.state == Schedulable::Quantum::State::kFinished) {
+    using State = Schedulable::Quantum::State;
+    Unit& entry = it->second;
+    SettleSuspectLocked(&entry, NowMicros());
+    if (entry.fallback_resume && quantum.state != State::kFinished &&
+        !(quantum.state == State::kParked && quantum.idle)) {
+      entry.suspect_us = NowMicros();  // it found work no wake announced
+    }
+    entry.fallback_resume = false;
+    const bool woken = entry.wake_pending;
+    entry.wake_pending = false;
+    if (entry.retire_requested || quantum.state == State::kFinished) {
       EraseUnitLocked(picked);
       continue;
     }
-    if (quantum.state == Schedulable::Quantum::State::kWaiting &&
-        quantum.resume_at_us > NowMicros()) {
-      it->second.state = UnitState::kWaiting;
-      ++it->second.wait_epoch;
-      timers_.push(Timer{quantum.resume_at_us, picked, it->second.wait_epoch});
+    int64_t resume_at_us = quantum.resume_at_us;
+    if (quantum.state == State::kParked) {
+      resume_at_us = NowMicros() + kParkFallbackUs;
+    }
+    const bool waits = quantum.state == State::kParked ||
+                       (quantum.state == State::kWaiting &&
+                        resume_at_us > NowMicros());
+    if (waits && !woken) {
+      entry.state = UnitState::kWaiting;
+      entry.parked = quantum.state == State::kParked;
+      ++entry.wait_epoch;
+      timers_.push(Timer{resume_at_us, picked, entry.wait_epoch});
     } else {
-      it->second.state = UnitState::kQueued;
+      entry.state = UnitState::kQueued;
       g.runnable.push_back(picked);
     }
     // Peers may be sleeping with a stale (or no) timer deadline; have one
@@ -242,6 +276,63 @@ int MorselScheduler::num_units() const {
 int MorselScheduler::num_groups() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return static_cast<int>(groups_.size());
+}
+
+int64_t MorselScheduler::fallback_resumes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const int64_t now_us = NowMicros();
+  int64_t settled = 0;
+  for (const auto& [unit, entry] : units_) {
+    if (entry.suspect_us != 0 && now_us - entry.suspect_us >= kWakeGraceUs) {
+      ++settled;
+    }
+  }
+  return fallback_resumes_ + settled;
+}
+
+void ThreadWaiter::Notify() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++generation_;
+  }
+  cv_.notify_all();
+}
+
+uint64_t ThreadWaiter::generation() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return generation_;
+}
+
+void ThreadWaiter::WaitUntil(int64_t deadline_us, uint64_t seen) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  cv_.wait_until(lock, ToTimePoint(deadline_us),
+                 [&] { return generation_ != seen; });
+}
+
+void WaiterSet::Add(const Waiter& waiter) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const Waiter& w : waiters_) {
+    if (w.unit == waiter.unit && w.thread == waiter.thread &&
+        w.signal == waiter.signal) {
+      return;
+    }
+  }
+  waiters_.push_back(waiter);
+  any_.store(true);
+}
+
+void WaiterSet::WakeAllSlow() {
+  std::vector<Waiter> waiters;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    waiters.swap(waiters_);
+    any_.store(false);
+  }
+  for (const Waiter& w : waiters) {
+    if (w.signal != nullptr) w.signal->store(true);
+    if (w.thread != nullptr) w.thread->Notify();
+    if (w.unit != nullptr) w.scheduler->Wake(w.unit);
+  }
 }
 
 }  // namespace accordion

@@ -1,6 +1,7 @@
 #ifndef ACCORDION_EXEC_SCHEDULER_H_
 #define ACCORDION_EXEC_SCHEDULER_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -26,16 +27,24 @@ class Schedulable {
   struct Quantum {
     enum class State {
       kRunnable,  // more work available right now — requeue
-      kWaiting,   // nothing to do before `resume_at_us` (backpressure,
-                  // pacing, idle upstream); a Wake() resumes earlier
+      kWaiting,   // a timed wait: nothing to do before `resume_at_us`
+                  // (simulated pacing, RPC latency, retry backoff); a
+                  // Wake() resumes earlier
+      kParked,    // waiting for an event: the unit registered with the
+                  // structure it found empty or full, which Wake()s it
       kFinished,  // unit completed; the scheduler drops it
     };
     State state = State::kRunnable;
     int64_t resume_at_us = 0;  // absolute NowMicros time, kWaiting only
+    /// kParked only: the quantum did no work before parking again.
+    bool idle = false;
 
     static Quantum Runnable() { return Quantum{State::kRunnable, 0}; }
     static Quantum Waiting(int64_t resume_at_us) {
       return Quantum{State::kWaiting, resume_at_us};
+    }
+    static Quantum Parked(bool idle) {
+      return Quantum{State::kParked, 0, idle};
     }
     static Quantum Finished() { return Quantum{State::kFinished, 0}; }
   };
@@ -64,12 +73,21 @@ inline std::shared_ptr<Schedulable> NonOwning(Schedulable* unit) {
 /// coordinator maps DOP changes onto group weights, which is what turns
 /// the paper's thread-count tuning into a queue-share change.
 ///
-/// Waiting units sit on a timer heap and cost nothing; Wake() resumes one
-/// early (new input arrived). Retire() synchronously removes a unit,
+/// Waiting units cost nothing. A timed wait (pacing, RPC latency, retry
+/// backoff) sits on a timer heap; a parked unit waits for the structure it
+/// registered with to Wake() it, and keeps only a constant fallback timer
+/// (kParkFallbackUs) that bounds a lost wakeup. Wake() is lossless: a wake
+/// that lands while the unit is inside RunQuantum requeues it as soon as
+/// that quantum returns a wait. Retire() synchronously removes a unit,
 /// blocking until any in-flight quantum returns — the teardown primitive
 /// replacing thread joins.
 class MorselScheduler {
  public:
+  /// How long a parked unit sleeps when nothing wakes it; it then re-checks
+  /// and parks again if still blocked. Only a lost wakeup makes that
+  /// resume find work, which fallback_resumes() counts.
+  static constexpr int64_t kParkFallbackUs = 50 * 1000;
+
   struct Options {
     /// Pool size; 0 means hardware_concurrency() (4 if that reports 0).
     int num_threads = 0;
@@ -100,8 +118,11 @@ class MorselScheduler {
   /// Drops `group`'s weight record once its units are gone (query end).
   void ClearGroup(const std::string& group);
 
-  /// Moves a kWaiting unit back to its run queue immediately (e.g. new
-  /// input arrived before its timer). No-op for running/queued/unknown.
+  /// Moves a waiting or parked unit back to its run queue immediately
+  /// (new input arrived, backpressure lifted). A unit inside RunQuantum is
+  /// requeued when that quantum returns a wait, so no wake is lost. No-op
+  /// for queued units and for units the scheduler no longer knows — a
+  /// structure's waiter list may outlive a retired unit.
   void Wake(Schedulable* unit);
 
   /// Removes `unit` from the scheduler, blocking until an in-flight
@@ -115,6 +136,13 @@ class MorselScheduler {
 
   /// Units currently registered (queued + waiting + running). Test hook.
   int num_units() const;
+  /// Parked units the fallback timer resumed that then did work and
+  /// stayed alive with no wake following within kWakeGraceUs: each is a
+  /// wake that never came. A unit still blocked re-parks idle and is not
+  /// counted; nor is one that finishes, or one whose wake was merely in
+  /// flight (a producer changes a structure before it wakes the waiters,
+  /// so the timer can land in between). Test hook.
+  int64_t fallback_resumes() const;
   /// Groups currently known (with units or an explicit weight). Test hook.
   int num_groups() const;
 
@@ -128,7 +156,18 @@ class MorselScheduler {
     /// Invalidates stale timer-heap entries after a Wake or state change.
     int64_t wait_epoch = 0;
     bool retire_requested = false;
+    /// Woken while running: requeue when the quantum returns a wait.
+    bool wake_pending = false;
+    /// Parked (not a timed wait): a timer resume is the fallback.
+    bool parked = false;
+    /// Resumed by the fallback timer and not woken since.
+    bool fallback_resume = false;
+    /// When a fallback resume did work; a wake within kWakeGraceUs
+    /// clears it, else it counts as a fallback resume.
+    int64_t suspect_us = 0;
   };
+
+  static constexpr int64_t kWakeGraceUs = 10 * 1000;
 
   struct Group {
     double weight = 1.0;
@@ -157,6 +196,8 @@ class MorselScheduler {
   double MinActiveVruntimeLocked() const;
   /// Erases the unit and its group bookkeeping; notifies retire waiters.
   void EraseUnitLocked(Schedulable* unit);
+  /// Counts `unit`'s suspect resume once its grace has passed.
+  void SettleSuspectLocked(Unit* unit, int64_t now_us);
 
   int64_t quantum_us_;
   mutable std::mutex mutex_;
@@ -165,6 +206,7 @@ class MorselScheduler {
   std::map<Schedulable*, Unit> units_;
   std::map<std::string, Group> groups_;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> timers_;
+  int64_t fallback_resumes_ = 0;
   bool shutdown_ = false;
   std::vector<std::thread> threads_;
 };
@@ -172,6 +214,69 @@ class MorselScheduler {
 /// The scheduler a component should use: the config's, or the process
 /// default when the config doesn't name one.
 MorselScheduler* SchedulerFor(const EngineConfig& config);
+
+/// A thread blocked outside the pool — the coordinator's root fetch, or a
+/// DOP switch waiting for hash builds — until a structure notifies it.
+/// Several threads may share one: each waits for a notification newer
+/// than the generation it read before checking its condition.
+class ThreadWaiter {
+ public:
+  void Notify();
+  /// Notifications so far. Read it before checking the awaited condition.
+  uint64_t generation() const;
+  /// Blocks until a notification after generation `seen`, or until
+  /// `deadline_us` (NowMicros epoch).
+  void WaitUntil(int64_t deadline_us, uint64_t seen);
+
+ private:
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  uint64_t generation_ = 0;
+};
+
+/// Whom a structure wakes when it changes: a parked pool unit, or a
+/// blocked thread.
+struct Waiter {
+  MorselScheduler* scheduler = nullptr;
+  Schedulable* unit = nullptr;
+  /// Set before `unit` is woken, so a unit parked on several structures
+  /// can tell which one changed (an exchange fetcher's upstream tasks).
+  /// Shared: the structure may outlive the unit.
+  std::shared_ptr<std::atomic<bool>> signal;
+  std::shared_ptr<ThreadWaiter> thread;  // instead of a unit
+};
+
+/// The waiters parked on one condition of a structure: an empty queue, a
+/// full buffer, an unbuilt hash table. Protocol: a waiter Add()s itself
+/// and then re-checks the condition (or checks and Add()s under the lock
+/// the producer changes the structure under); a producer changes the
+/// structure and then calls WakeAll(). One of the two always sees the
+/// other, so no wake is lost.
+/// WakeAll() costs one atomic load while nobody waits, so a flowing
+/// pipeline pays nothing extra per page.
+class WaiterSet {
+ public:
+  /// Registers `waiter` (once; a repeated Add is a no-op).
+  void Add(const Waiter& waiter);
+  /// Wakes and forgets every registered waiter.
+  void WakeAll() {
+    if (any_.load()) WakeAllSlow();
+  }
+
+ private:
+  void WakeAllSlow();
+
+  std::atomic<bool> any_{false};
+  std::mutex mutex_;
+  std::vector<Waiter> waiters_;
+};
+
+/// What a blocked operator or structure did with a park request.
+enum class ParkState {
+  kNotBlocked,  // waits on no shared structure
+  kParked,      // registered: the structure wakes the waiter on a change
+  kReady,       // the structure changed since the caller looked: run on
+};
 
 }  // namespace accordion
 

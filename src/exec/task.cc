@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/clock.h"
 #include "common/logging.h"
 #include "exec/pacer.h"
 #include "exec/scheduler.h"
@@ -104,8 +105,8 @@ void Task::AddDriverLocked(int pipeline_id) {
   for (auto& factory : pipeline.factories) {
     ops.push_back(factory->Create(&task_ctx_, seq));
   }
-  auto driver = std::make_unique<Driver>(pipeline_id, seq, std::move(ops),
-                                         &task_ctx_, &cancelled_);
+  auto driver =
+      std::make_unique<Driver>(pipeline_id, seq, std::move(ops), &task_ctx_);
   Driver* raw = driver.get();
   DriverSlot slot;
   slot.driver = std::move(driver);
@@ -192,8 +193,9 @@ Status Task::SetDop(int dop) {
 }
 
 PagesResult Task::GetPages(int buffer_id, int64_t start_sequence,
-                           int max_pages) {
-  PagesResult result = buffer_->GetPages(buffer_id, start_sequence, max_pages);
+                           int max_pages, const Waiter* waiter) {
+  PagesResult result =
+      buffer_->GetPages(buffer_id, start_sequence, max_pages, waiter);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     UpdateStateLocked();
@@ -216,9 +218,40 @@ void Task::SignalEndSources() {
 }
 
 void Task::Abort() {
-  cancelled_ = true;
+  task_ctx_.Cancel();
   TaskState expected = TaskState::kRunning;
   state_.compare_exchange_strong(expected, TaskState::kAborted);
+  // Parked units notice the cancellation only at their next quantum.
+  MorselScheduler* scheduler = task_ctx_.scheduler();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (auto& pipeline_drivers : drivers_) {
+      for (auto& slot : pipeline_drivers) scheduler->Wake(slot.driver.get());
+    }
+  }
+  for (auto& [stage, client] : exchange_clients_) scheduler->Wake(client.get());
+  buffer_->WakeAllWaiters();
+  abort_waiters_.WakeAll();
+}
+
+bool Task::WaitHashTablesBuilt(int64_t deadline_us) {
+  const Waiter waiter{nullptr, nullptr, nullptr,
+                      std::make_shared<ThreadWaiter>()};
+  while (true) {
+    const uint64_t seen = waiter.thread->generation();
+    abort_waiters_.Add(waiter);
+    if (task_ctx_.cancelled()) return false;
+    bool built = true;
+    for (const auto& [id, bridge] : join_bridges_) {
+      if (!bridge->built() &&
+          bridge->ParkUntilBuilt(waiter) == ParkState::kParked) {
+        built = false;
+      }
+    }
+    if (built) return true;
+    if (NowMicros() >= deadline_us) return false;
+    waiter.thread->WaitUntil(deadline_us, seen);
+  }
 }
 
 void Task::AddOutputTaskGroup(int count, int first_buffer_id) {

@@ -82,8 +82,10 @@ class Task {
 
   /// Consumer-side page poll on this task's output buffer, resuming at
   /// `start_sequence` (pass OutputBuffer::kAutoSequence for local
-  /// consumers that never retry).
-  PagesResult GetPages(int buffer_id, int64_t start_sequence, int max_pages);
+  /// consumers that never retry). `waiter` long-polls: see
+  /// OutputBuffer::GetPages.
+  PagesResult GetPages(int buffer_id, int64_t start_sequence, int max_pages,
+                       const Waiter* waiter = nullptr);
 
   /// End signal for one downstream consumer of this task's buffer.
   void EndSignalOutput(int buffer_id);
@@ -92,8 +94,15 @@ class Task {
   /// bottom-up (used when the dynamic scheduler removes this task).
   void SignalEndSources();
 
-  /// Hard abort (query cancellation).
+  /// Hard abort (query cancellation). Wakes every parked unit of the task
+  /// so that each finishes at its next quantum.
   void Abort();
+
+  /// Blocks the calling (non-pool) thread until every join bridge of the
+  /// task is built, the task is aborted, or `deadline_us` (NowMicros
+  /// epoch) passes. Returns true once all are built. A DOP switch waits on
+  /// this for its new task group.
+  bool WaitHashTablesBuilt(int64_t deadline_us);
 
   /// DOP switching support (§4.5): new consumer task group on the output
   /// shuffle buffer, serving ids [first_buffer_id, first_buffer_id+count).
@@ -132,8 +141,8 @@ class Task {
   mutable std::mutex mutex_;
   std::vector<std::vector<DriverSlot>> drivers_;  // per pipeline
   std::vector<int> next_driver_seq_;
-  std::atomic<bool> cancelled_{false};
   std::atomic<TaskState> state_{TaskState::kCreated};
+  WaiterSet abort_waiters_;  // threads in WaitHashTablesBuilt
 };
 
 }  // namespace accordion

@@ -89,6 +89,12 @@ class TaskContext {
   int64_t hash_build_micros() const { return hash_build_us_; }
   int64_t rpc_retries() const { return rpc_retries_; }
 
+  // --- cancellation ---
+  /// Set by Task::Abort: each of the task's units finishes at its next
+  /// quantum (the task wakes the parked ones).
+  void Cancel() { cancelled_.store(true); }
+  bool cancelled() const { return cancelled_.load(); }
+
   // --- failure reporting ---
   /// Records an unrecoverable task-local error (e.g. GetPages retry
   /// exhaustion). First failure wins; the coordinator's health monitor
@@ -124,6 +130,7 @@ class TaskContext {
   std::atomic<int64_t> hash_build_us_{0};
   std::atomic<int64_t> rpc_retries_{0};
 
+  std::atomic<bool> cancelled_{false};
   std::atomic<bool> failed_{false};
   mutable std::mutex failure_mutex_;
   Status failure_;

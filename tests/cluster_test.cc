@@ -421,6 +421,74 @@ TEST(ClusterTest, BroadcastJoinStageScalesWithGenericPath) {
   EXPECT_EQ(SingleInt(*result), TpchRowCount("orders", kSf));
 }
 
+/// Waits up to one second for the cluster's pool to hold no units.
+int UnitsLeftAfterOneSecond(AccordionCluster* cluster) {
+  Stopwatch sw;
+  while (cluster->scheduler()->num_units() > 0 && sw.ElapsedMillis() < 1000) {
+    SleepForMillis(1);
+  }
+  return cluster->scheduler()->num_units();
+}
+
+TEST(ClusterTest, FinishedQueryLeavesNoSchedulerUnits) {
+  // Every driver, exchange fetcher and shuffle executor of a drained query
+  // finishes: none stays parked (or re-arms a timer) after its input ended.
+  AccordionCluster cluster(SmallOptions());
+  Session session(cluster.coordinator());
+  QueryOptions qopts;
+  qopts.stage_dop = 2;
+  qopts.task_dop = 2;
+  auto query = session.Execute(TpchQuerySql(7), qopts);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto pages = (*query)->Cursor().Drain(120000);
+  ASSERT_TRUE(pages.ok()) << pages.status().ToString();
+  EXPECT_EQ(UnitsLeftAfterOneSecond(&cluster), 0);
+}
+
+TEST(ClusterTest, RealModeWaitsNeverHitTheFallback) {
+  // Parked units keep a fallback timer only to bound a lost wakeup. A unit
+  // that timer resumes and that then finds work counts as a lost wake, so
+  // the count stays 0 while every wait is woken by its event: TPC-H at DOP
+  // 2x2, a partitioned-join DOP switch up and down, and an abort.
+  {
+    AccordionCluster cluster(SmallOptions());
+    Session session(cluster.coordinator());
+    QueryOptions qopts;
+    qopts.stage_dop = 2;
+    qopts.task_dop = 2;
+    for (int q = 1; q <= 12; ++q) {
+      auto query = session.Execute(TpchQuerySql(q), qopts);
+      ASSERT_TRUE(query.ok()) << "Q" << q << ": " << query.status().ToString();
+      auto pages = (*query)->Cursor().Drain(120000);
+      ASSERT_TRUE(pages.ok()) << "Q" << q << ": " << pages.status().ToString();
+    }
+    EXPECT_EQ(cluster.scheduler()->fallback_resumes(), 0);
+  }
+  // Q2J scans long enough in real mode at SF 0.2 to switch twice mid-scan.
+  auto options = SmallOptions();
+  options.scale_factor = 0.2;
+  AccordionCluster cluster(options);
+  Session session(cluster.coordinator());
+  auto switched = session.Execute(TpchQ2JPlan(session.catalog()));
+  ASSERT_TRUE(switched.ok()) << switched.status().ToString();
+  Status up = (*switched)->SetStageDop(1, 2);
+  EXPECT_TRUE(up.ok()) << up.ToString();
+  Status down = (*switched)->SetStageDop(1, 1);
+  EXPECT_TRUE(down.ok()) << down.ToString();
+  auto result = (*switched)->Wait(120000);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(SingleInt(*result), ExactLineitemRows(0.2));
+
+  auto aborted = session.Execute(TpchQ2JPlan(session.catalog()));
+  ASSERT_TRUE(aborted.ok()) << aborted.status().ToString();
+  ResultCursor cursor = (*aborted)->Cursor();
+  SleepForMillis(20);
+  ASSERT_TRUE((*aborted)->Abort().ok());
+  EXPECT_EQ(cursor.Next(30000).status().code(), StatusCode::kAborted);
+  EXPECT_EQ(UnitsLeftAfterOneSecond(&cluster), 0);
+  EXPECT_EQ(cluster.scheduler()->fallback_resumes(), 0);
+}
+
 TEST(ClusterTest, AbortStopsQuery) {
   auto options = FastOptions();
   options.engine.cost.scale = 1.0;  // long-running

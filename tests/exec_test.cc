@@ -35,7 +35,7 @@ struct TestEnv {
           split.split_count, 256, columns);
     };
     apis.fetch_pages = [](const RemoteSplit&, int, int64_t, int,
-                          int64_t*) -> Result<PagesResult> {
+                          const Waiter*, int64_t*) -> Result<PagesResult> {
       return PagesResult{{}, true};
     };
     return apis;
@@ -181,8 +181,9 @@ TEST(TaskTest, GlobalCountAcrossTwoWiredTasks) {
   TaskApis parent_apis = env.ApisFor();
   parent_apis.fetch_pages = [&](const RemoteSplit&, int buffer_id,
                                 int64_t start_sequence, int max_pages,
+                                const Waiter* long_poll,
                                 int64_t*) -> Result<PagesResult> {
-    return child.GetPages(buffer_id, start_sequence, max_pages);
+    return child.GetPages(buffer_id, start_sequence, max_pages, long_poll);
   };
   Task parent(parent_spec, parent_apis, &env.config);
 
@@ -235,9 +236,10 @@ TEST(TaskTest, JoinInsideTaskViaBridgeAndLocalExchange) {
   TaskApis join_apis = env.ApisFor();
   join_apis.fetch_pages = [&](const RemoteSplit& split, int buffer_id,
                               int64_t start_sequence, int max_pages,
+                              const Waiter* long_poll,
                               int64_t*) -> Result<PagesResult> {
     Task* source = split.task.stage_id == 1 ? &probe_task : &build_task;
-    return source->GetPages(buffer_id, start_sequence, max_pages);
+    return source->GetPages(buffer_id, start_sequence, max_pages, long_poll);
   };
   Task join_task(join_spec, join_apis, &env.config);
 
@@ -534,7 +536,7 @@ TEST(ExchangeClientTest, DestructorWithoutStartIsSafe) {
   ExchangeClient client(
       &ctx, 0,
       [](const RemoteSplit&, int, int64_t, int,
-         int64_t*) -> Result<PagesResult> {
+         const Waiter*, int64_t*) -> Result<PagesResult> {
         return PagesResult{{}, true};
       });
   client.AddRemoteSplit(RemoteSplit{0, TaskId{"q", 1, 0}});
@@ -548,7 +550,7 @@ TEST(ExchangeClientTest, VanishedUpstreamFailsTaskInsteadOfCompleting) {
   ExchangeClient client(
       &ctx, 0,
       [](const RemoteSplit&, int, int64_t, int,
-         int64_t*) -> Result<PagesResult> {
+         const Waiter*, int64_t*) -> Result<PagesResult> {
         // Non-retryable: the upstream task is gone for good.
         return Status::NotFound("no task q.1.0");
       });
@@ -571,7 +573,7 @@ TEST(ExchangeClientTest, RetryExhaustionReportsContextfulFailure) {
   ExchangeClient client(
       &ctx, 0,
       [&](const RemoteSplit&, int, int64_t, int,
-          int64_t*) -> Result<PagesResult> {
+          const Waiter*, int64_t*) -> Result<PagesResult> {
         ++calls;
         return Status::Unavailable("injected outage");
       });
@@ -598,7 +600,7 @@ TEST(ExchangeClientTest, TransientBlipResumesAtSameSequence) {
   ExchangeClient client(
       &ctx, 0,
       [&](const RemoteSplit&, int, int64_t start_sequence, int,
-          int64_t*) -> Result<PagesResult> {
+          const Waiter*, int64_t*) -> Result<PagesResult> {
         int n = ++calls;
         {
           std::lock_guard<std::mutex> lock(seq_mutex);

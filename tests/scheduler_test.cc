@@ -205,6 +205,55 @@ TEST(MorselSchedulerTest, WakeResumesBeforeTimerExpiry) {
   scheduler.Wake(waiter.get());
 }
 
+/// Holds its first quantum open until released, then asks for a long
+/// timed wait, so a test can Wake it while it is inside RunQuantum.
+class GatedUnit : public Schedulable {
+ public:
+  Quantum RunQuantum(int64_t) override {
+    if (runs_.fetch_add(1) == 0) {
+      in_quantum_.store(true);
+      while (!release_.load()) SleepForMicros(100);
+    }
+    if (finish_.load()) return Quantum::Finished();
+    return Quantum::Waiting(NowMicros() + 10 * 1000 * 1000);  // 10s
+  }
+
+  std::atomic<int> runs_{0};
+  std::atomic<bool> in_quantum_{false};
+  std::atomic<bool> release_{false};
+  std::atomic<bool> finish_{false};
+};
+
+TEST(MorselSchedulerTest, WakeDuringQuantumIsNotLost) {
+  // A structure may wake a unit between the unit's last look at it and
+  // the end of its quantum. That wake must requeue the unit as soon as the
+  // quantum returns its wait, not be dropped until the timer.
+  MorselScheduler scheduler(SmallPool(1));
+  auto unit = std::make_shared<GatedUnit>();
+  scheduler.Enqueue("q", unit);
+  Stopwatch sw;
+  while (!unit->in_quantum_.load() && sw.ElapsedMillis() < 5000) {
+    SleepForMillis(1);
+  }
+  ASSERT_TRUE(unit->in_quantum_.load()) << "unit never ran";
+
+  scheduler.Wake(unit.get());  // lands while the unit is running
+  sw.Restart();
+  unit->release_.store(true);
+  while (unit->runs_.load() < 2 && sw.ElapsedMillis() < 5000) {
+    SleepForMillis(1);
+  }
+  EXPECT_EQ(unit->runs_.load(), 2);
+  EXPECT_LT(sw.ElapsedMillis(), 100) << "the wake was dropped";
+
+  unit->finish_.store(true);
+  scheduler.Wake(unit.get());
+  while (scheduler.num_units() != 0 && sw.ElapsedMillis() < 5000) {
+    SleepForMillis(1);
+  }
+  EXPECT_EQ(scheduler.num_units(), 0);
+}
+
 TEST(MorselSchedulerTest, RetireIsSafeInEveryState) {
   MorselScheduler scheduler(SmallPool(1));
 

@@ -234,6 +234,52 @@ TEST(SessionTest, TimedOutDrainResumesLosslessly) {
   EXPECT_EQ(cursor.rows_seen(), expected);
 }
 
+TEST(SessionTest, NextDeadlineHoldsWithPrefetchInFlight) {
+  // Every result fetch takes 200 ms of simulated RPC latency, so a
+  // background prefetch is still in flight when the buffered batch runs
+  // out. Next must give up at its own deadline, not at the prefetch's
+  // arrival, and the prefetch must still reach a later call.
+  AccordionCluster::Options options = FastOptions();
+  options.engine.rpc_latency_ms = 200;
+  AccordionCluster cluster(options);
+  Session session(cluster.coordinator());
+  auto query = session.Execute(StreamingScanPlan(session.catalog()));
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const int64_t expected =
+      TpchSplitGenerator("lineitem", kSf, 0, 1).TotalRows();
+
+  ResultCursor cursor = (*query)->Cursor();
+  int64_t rows = 0;
+  // Read until the cursor issues its background fetch of the next batch.
+  while (cursor.prefetches_issued() == 0) {
+    auto page = cursor.Next(60000);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    ASSERT_NE(*page, nullptr) << "the stream ended before a prefetch";
+    rows += (*page)->num_rows();
+  }
+  // Hand out the rest of the batch; the call after that finds only the
+  // prefetch, in flight for another ~200 ms.
+  Stopwatch sw;
+  Result<PagePtr> page = PagePtr(nullptr);
+  while (true) {
+    sw.Restart();
+    page = cursor.Next(20);
+    if (!page.ok()) break;
+    ASSERT_NE(*page, nullptr) << "the stream ended before the deadline test";
+    rows += (*page)->num_rows();
+  }
+  EXPECT_EQ(page.status().code(), StatusCode::kDeadlineExceeded)
+      << page.status().ToString();
+  EXPECT_LT(sw.ElapsedMillis(), 150)
+      << "Next waited for the in-flight prefetch past its 20 ms deadline";
+
+  auto rest = cursor.Drain(60000);
+  ASSERT_TRUE(rest.ok()) << rest.status().ToString();
+  for (const auto& page : *rest) rows += page->num_rows();
+  EXPECT_EQ(rows, expected);
+  EXPECT_GT(cursor.prefetch_hits(), 0);
+}
+
 TEST(SessionTest, DoubleAbortIsIdempotent) {
   AccordionCluster cluster(StreamingOptions());
   Session session(cluster.coordinator());
