@@ -181,7 +181,6 @@ void BM_JoinBuildSweep(benchmark::State& state) {
   }
   std::vector<PagePtr> build_pages = MakeKeyedPages(build_keys, build_keys, 7);
   EngineConfig config;
-  config.join.radix_min_build_rows = 0;  // flat build: one table, one timer
   TaskContext ctx("bench", &config);
   for (auto _ : state) {
     JoinBridge bridge({DataType::kInt64, DataType::kDouble}, {0}, &ctx);

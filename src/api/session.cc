@@ -78,29 +78,6 @@ Result<PagePtr> ResultCursor::Next(int64_t timeout_ms) {
   }
 }
 
-Result<PagesResult> ResultCursor::Poll() {
-  PagesResult out;
-  // Hand out anything already buffered first.
-  for (; next_buffered_ < buffered_.size(); ++next_buffered_) {
-    out.pages.push_back(std::move(buffered_[next_buffered_]));
-  }
-  buffered_.clear();
-  next_buffered_ = 0;
-  if (!done_) {
-    // Never blocks: a background fetch still in flight is left pending.
-    auto fetched = TakeFetch(/*timeout_ms=*/0);
-    ACCORDION_RETURN_NOT_OK(fetched.status());
-    for (auto& page : fetched->pages) out.pages.push_back(std::move(page));
-    if (fetched->complete) done_ = true;
-  }
-  out.complete = done_;
-  for (const auto& page : out.pages) {
-    ++pages_seen_;
-    rows_seen_ += page->num_rows();
-  }
-  return out;
-}
-
 Result<std::vector<PagePtr>> ResultCursor::Drain(int64_t timeout_ms) {
   if (timeout_ms < 0) timeout_ms = default_timeout_ms_;
   std::vector<PagePtr> pages;

@@ -100,10 +100,6 @@ class ResultCursor {
   /// never hangs.
   Result<PagePtr> Next(int64_t timeout_ms = -1);
 
-  /// Pulls whatever is currently buffered without blocking (empty result
-  /// + !Done() means "nothing yet").
-  Result<PagesResult> Poll();
-
   /// Runs the stream to completion, collecting all remaining pages; blocks
   /// like Next, and on kDeadlineExceeded keeps every page for a retry.
   Result<std::vector<PagePtr>> Drain(int64_t timeout_ms = -1);

@@ -18,7 +18,6 @@ AccordionCluster::AccordionCluster(Options options)
     // config, not per task, so concurrency no longer scales thread count.
     MorselScheduler::Options sched;
     sched.num_threads = options_.engine.scheduler_threads;
-    sched.quantum_us = options_.engine.scheduler_quantum_us;
     scheduler_ = std::make_unique<MorselScheduler>(sched);
     options_.engine.scheduler = scheduler_.get();
   }

@@ -12,6 +12,12 @@
 
 namespace accordion {
 
+namespace {
+/// Cadence of the coordinator's health monitor, which escalates worker
+/// crashes and retry-exhausted tasks to query failure.
+constexpr int64_t kHealthCheckIntervalMs = 20;
+}  // namespace
+
 Coordinator::Coordinator(RpcBus* bus, Catalog catalog,
                          const EngineConfig* config, double scale_factor)
     : bus_(bus),
@@ -140,7 +146,7 @@ void Coordinator::UpdateQueryShare(QueryExec* query) {
 
 void Coordinator::MonitorLoop() {
   while (!monitor_shutdown_.load()) {
-    SleepForMillis(config_->health_check_interval_ms);
+    SleepForMillis(kHealthCheckIntervalMs);
     std::vector<std::shared_ptr<QueryExec>> queries;
     {
       std::lock_guard<std::mutex> lock(mutex_);

@@ -341,7 +341,7 @@ class Coordinator {
   void UpdateQueryShare(QueryExec* query);
 
   /// Background health monitor: escalates crashed workers and failed
-  /// tasks to query failure every health_check_interval_ms.
+  /// tasks to query failure every kHealthCheckIntervalMs.
   void MonitorLoop();
 
   OutputBufferConfig BufferConfigFor(const QueryExec& query,

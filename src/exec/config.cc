@@ -38,22 +38,6 @@ Status EngineConfig::Normalize() {
     return Status::InvalidArgument("memory.spill_chunk_bytes must be > 0");
   }
 
-  if (join.radix_min_build_rows < 0) {
-    return Status::InvalidArgument("join.radix_min_build_rows must be >= 0");
-  }
-  if (join.radix_partition_rows <= 0) {
-    return Status::InvalidArgument("join.radix_partition_rows must be > 0");
-  }
-  if (join.radix_max_bits < 0 || join.radix_max_bits > 16) {
-    return Status::InvalidArgument("join.radix_max_bits must be in [0, 16]");
-  }
-  if (join.spill_partition_bits < 1 || join.spill_partition_bits > 10) {
-    return Status::InvalidArgument(
-        "join.spill_partition_bits must be in [1, 10]");
-  }
-  if (join.max_spill_recursion < 1) {
-    return Status::InvalidArgument("join.max_spill_recursion must be >= 1");
-  }
   if (null_injection_rate < 0 || null_injection_rate > 1) {
     return Status::InvalidArgument("null_injection_rate must be in [0, 1]");
   }

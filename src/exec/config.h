@@ -46,33 +46,6 @@ struct MemoryConfig {
   int64_t spill_chunk_bytes = 1 << 20;
 };
 
-/// Hash-join shape knobs: the radix-partitioned build threshold and
-/// grace-spill partitioning. Every shape probes with the one scalar batch
-/// loop (HashTable::FindJoinBatch / FindJoinHashed).
-struct JoinConfig {
-  /// Build-row count at which an in-memory join build switches from one
-  /// flat table to radix-partitioned cache-sized tables (0 disables the
-  /// radix build). Only single fixed-width join keys partition; other key
-  /// shapes keep the flat table.
-  int64_t radix_min_build_rows = 1 << 17;
-
-  /// Target distinct keys per radix partition table, sized so one
-  /// partition's slots + keys stay roughly L2-resident.
-  int64_t radix_partition_rows = 1 << 13;
-
-  /// Upper bound on radix bits for the in-memory partitioned build.
-  int radix_max_bits = 8;
-
-  /// log2 of the spill fan-out: each grace-spill level scatters into
-  /// 2^bits partition files.
-  int spill_partition_bits = 4;
-
-  /// Maximum spill repartition depth for skewed partitions. A partition
-  /// still over budget at max depth is processed in build chunks
-  /// (multiple probe passes) instead of recursing further.
-  int max_spill_recursion = 3;
-};
-
 /// Virtual per-row CPU costs (microseconds of simulated core time) that
 /// drivers and shuffle executors charge to their worker's Pacer
 /// (exec/pacer.h). These calibrate the *relative* weight of operators —
@@ -114,25 +87,13 @@ struct EngineConfig {
   /// Memory budgets, buffer capacities and spill knobs.
   MemoryConfig memory;
 
-  /// Join probe/build/spill shape knobs.
-  JoinConfig join;
-
   /// Validates the whole config. Nonsensical values (negative budgets,
   /// max < initial buffer capacity, per-query budget above the worker
-  /// budget, zero spill chunk, out-of-range radix/spill bits, a null
-  /// injection rate outside [0, 1], a negative cost-model entry or RPC
-  /// latency) are rejected with kInvalidArgument — never silently
-  /// clamped. Called by AccordionCluster at construction.
+  /// budget, zero spill chunk, a null injection rate outside [0, 1], a
+  /// negative cost-model entry or RPC latency) are rejected with
+  /// kInvalidArgument — never silently clamped. Called by AccordionCluster
+  /// at construction.
   Status Normalize();
-
-  /// Consumer-side resize cadence for elastic buffers (paper: ~500 ms).
-  int64_t buffer_resize_interval_ms = 500;
-
-  /// Shuffle-executor threads per shuffle buffer (paper Fig. 10b).
-  int shuffle_executors = 2;
-
-  /// Max pages returned by one GetPages RPC.
-  int max_pages_per_fetch = 8;
 
   /// Partial aggregation flush threshold (groups) — partial state is
   /// destroy-and-rebuildable (paper §4.1).
@@ -165,10 +126,6 @@ struct EngineConfig {
   /// escalates the query to kFailed.
   RetryPolicy rpc_retry;
 
-  /// Cadence of the coordinator's health monitor, which escalates worker
-  /// crashes and retry-exhausted tasks to query failure.
-  int64_t health_check_interval_ms = 20;
-
   // --- morsel scheduler (shared CPU pool) ---
 
   /// The shared pool that runs every driver, exchange fetcher and shuffle
@@ -181,9 +138,6 @@ struct EngineConfig {
   /// 0 means hardware_concurrency() with a fallback of 4 when that
   /// reports 0. Ignored when `scheduler` is set explicitly.
   int scheduler_threads = 0;
-
-  /// Target wall time of one scheduling quantum.
-  int64_t scheduler_quantum_us = 1000;
 
   // --- cluster-level admission (coordinator) ---
 
@@ -203,7 +157,6 @@ struct EngineConfig {
 struct NodeConfig {
   double cpu_cores = 4.0;
   double nic_bytes_per_sec = 256.0 * 1024 * 1024;
-  double cpu_burst_seconds = 0.05;
   double nic_burst_bytes = 4.0 * 1024 * 1024;
 };
 

@@ -9,6 +9,9 @@
 namespace accordion {
 
 namespace {
+/// Max pages returned by one GetPages RPC.
+constexpr int kMaxPagesPerFetch = 8;
+
 /// Deterministic per-client jitter seed: clients of the same task
 /// decorrelate without any global randomness source.
 uint64_t JitterSeed(const std::string& task_id, int buffer_id) {
@@ -161,8 +164,8 @@ Schedulable::Quantum ExchangeClient::RunQuantum(int64_t quantum_us) {
     fetched_any = true;
     int64_t ready_at_us = 0;
     Result<PagesResult> fetched = fetch_(
-        target, own_buffer_id_, start_sequence,
-        task_ctx_->config().max_pages_per_fetch, &long_poll, &ready_at_us);
+        target, own_buffer_id_, start_sequence, kMaxPagesPerFetch,
+        &long_poll, &ready_at_us);
     if (!fetched.ok()) {
       const Status& error = fetched.status();
       if (!IsRetryableRpcStatus(error)) {

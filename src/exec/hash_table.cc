@@ -1,7 +1,10 @@
 #include "exec/hash_table.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "common/logging.h"
 #include "vector/hashing.h"
@@ -19,8 +22,7 @@ void AppendRaw64(std::string* out, const void* p) {
 /// resolved ids totals the CSR span lengths, both outputs grow exactly
 /// once, then a fill pass writes match pairs through raw pointers.
 void ExpandSpans(const int64_t* ids, int64_t n, const int64_t* span_offsets,
-                 const int64_t* span_rows, const int32_t* row_map,
-                 std::vector<int32_t>* probe_rows,
+                 const int64_t* span_rows, std::vector<int32_t>* probe_rows,
                  std::vector<int64_t>* build_rows) {
   // The CSR arrays are randomly indexed by build id, so for out-of-cache
   // tables each pass is a cache-miss chain. The sizing pass prefetches the
@@ -61,17 +63,41 @@ void ExpandSpans(const int64_t* ids, int64_t n, const int64_t* span_offsets,
     if (i + kDistance < n && lens[i + kDistance] != 0) {
       __builtin_prefetch(&span_rows[starts[i + kDistance]]);
     }
-    const int32_t probe_row =
-        row_map != nullptr ? row_map[i] : static_cast<int32_t>(i);
     const int64_t start = starts[i];
     for (int64_t j = 0; j < len; ++j) {
-      *pr++ = probe_row;
+      *pr++ = static_cast<int32_t>(i);
       *br++ = span_rows[start + j];
     }
   }
 }
 
+// Slot arrays this large are mapped straight from the OS. glibc maps them
+// too, but freeing a mapped block raises its dynamic mmap threshold to that
+// block's size; later arrays of that size then come from the heap, and
+// glibc keeps their memory after they are freed, which raises the peak RSS
+// of a process that builds one large join table after another. Mapping
+// here leaves the threshold alone and returns every large array to the OS
+// when it is freed. Smaller arrays stay on operator new, where the
+// sanitizers see them.
+constexpr size_t kMappedSlotBytes = size_t{4} << 20;
+
 }  // namespace
+
+void* HashTable::AllocateSlots(size_t bytes) {
+  if (bytes < kMappedSlotBytes) return ::operator new(bytes);
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void HashTable::FreeSlots(void* p, size_t bytes) {
+  if (bytes < kMappedSlotBytes) {
+    ::operator delete(p);
+  } else {
+    munmap(p, bytes);
+  }
+}
 
 void HashTable::HashWords(const int64_t* words, int64_t n, uint64_t* hashes) {
   for (int64_t i = 0; i < n; ++i) {
@@ -91,8 +117,7 @@ HashTable::HashTable(std::vector<DataType> key_types)
 }
 
 void HashTable::PrepareBatch(const std::vector<const Column*>& keys,
-                             int64_t num_rows, Scratch* scratch,
-                             const uint64_t* external_hashes) const {
+                             int64_t num_rows, Scratch* scratch) const {
   ACC_CHECK(static_cast<int>(keys.size()) == num_key_cols_)
       << "key column count mismatch";
   if (word_mode_) {
@@ -110,23 +135,13 @@ void HashTable::PrepareBatch(const std::vector<const Column*>& keys,
                   static_cast<size_t>(num_rows) * 8);
       scratch->words_data = scratch->words.data();
     }
-    if (external_hashes != nullptr) {
-      scratch->hashes_data = external_hashes;
-      return;
-    }
     scratch->hashes.resize(static_cast<size_t>(num_rows));
     HashWords(scratch->words_data, num_rows, scratch->hashes.data());
-    scratch->hashes_data = scratch->hashes.data();
     return;
   }
 
-  if (external_hashes != nullptr) {
-    scratch->hashes_data = external_hashes;
-  } else {
-    scratch->hashes.assign(static_cast<size_t>(num_rows), Page::kHashSeed);
-    for (const Column* col : keys) col->HashInto(&scratch->hashes);
-    scratch->hashes_data = scratch->hashes.data();
-  }
+  scratch->hashes.assign(static_cast<size_t>(num_rows), Page::kHashSeed);
+  for (const Column* col : keys) col->HashInto(&scratch->hashes);
 
   bool any_nullable = false;
   for (const Column* col : keys) any_nullable |= col->may_have_nulls();
@@ -264,7 +279,7 @@ void HashTable::Reserve(int64_t expected_keys) {
 }
 
 void HashTable::Grow() {
-  std::vector<Slot> old = std::move(slots_);
+  SlotArray old = std::move(slots_);
   slots_.assign(old.size() * 2, Slot{});
   mask_ = slots_.size() - 1;
   for (const Slot& s : old) {
@@ -291,7 +306,7 @@ void HashTable::LookupBatch(const Scratch& scratch, int64_t num_rows,
     // equality check and the miss-insert need no canonical-key access.
     // Members are used directly because Grow() may move the slot buffer.
     const int64_t* words = scratch.words_data;
-    const uint64_t* hashes = scratch.hashes_data;
+    const uint64_t* hashes = scratch.hashes.data();
     const uint8_t* valid = scratch.valid_data;
     for (int64_t i = 0; i < num_rows; ++i) {
       if (i + kPrefetchDistance < num_rows) {
@@ -332,13 +347,13 @@ void HashTable::LookupBatch(const Scratch& scratch, int64_t num_rows,
   }
   for (int64_t i = 0; i < num_rows; ++i) {
     if (i + kPrefetchDistance < num_rows) {
-      __builtin_prefetch(&slots_[scratch.hashes_data[i + kPrefetchDistance] & mask_]);
+      __builtin_prefetch(&slots_[scratch.hashes[i + kPrefetchDistance] & mask_]);
     }
     // Keep load below ~0.7 so linear probe chains stay short.
     if ((num_keys_ + 1) * 10 > static_cast<int64_t>(slots_.size()) * 7) {
       Grow();
     }
-    uint64_t h = scratch.hashes_data[i];
+    uint64_t h = scratch.hashes[i];
     uint64_t pos = h & mask_;
     while (true) {
       Slot& slot = slots_[pos];
@@ -372,7 +387,7 @@ void HashTable::FindBatch(const Scratch& scratch, int64_t num_rows,
     // another key finish the linear probe in a second pass.
     const Slot* slots = slots_.data();
     const int64_t* words = scratch.words_data;
-    const uint64_t* hashes = scratch.hashes_data;
+    const uint64_t* hashes = scratch.hashes.data();
     const uint64_t mask = mask_;
     static thread_local std::vector<int64_t> collided;
     collided.resize(static_cast<size_t>(num_rows));
@@ -414,9 +429,9 @@ void HashTable::FindBatch(const Scratch& scratch, int64_t num_rows,
   }
   for (int64_t i = 0; i < num_rows; ++i) {
     if (i + kPrefetchDistance < num_rows) {
-      __builtin_prefetch(&slots_[scratch.hashes_data[i + kPrefetchDistance] & mask_]);
+      __builtin_prefetch(&slots_[scratch.hashes[i + kPrefetchDistance] & mask_]);
     }
-    uint64_t h = scratch.hashes_data[i];
+    uint64_t h = scratch.hashes[i];
     uint64_t pos = h & mask_;
     int64_t found = -1;
     while (true) {
@@ -451,18 +466,6 @@ void HashTable::LookupOrInsert(const std::vector<const Column*>& keys,
     return;
   }
   PrepareBatch(keys, num_rows, &scratch_);
-  LookupBatch(scratch_, num_rows, ids);
-}
-
-void HashTable::LookupOrInsertHashed(const std::vector<const Column*>& keys,
-                                     int64_t num_rows, const uint64_t* hashes,
-                                     std::vector<int64_t>* ids) {
-  if (num_key_cols_ == 0) {
-    if (num_rows > 0) num_keys_ = 1;
-    ids->assign(static_cast<size_t>(num_rows), 0);
-    return;
-  }
-  PrepareBatch(keys, num_rows, &scratch_, hashes);
   LookupBatch(scratch_, num_rows, ids);
 }
 
@@ -506,7 +509,7 @@ void HashTable::FindJoin(const Page& page, const std::vector<int>& channels,
   static thread_local Scratch scratch;
   PrepareBatch(keys, num_rows, &scratch);
   const Slot* slots = slots_.data();
-  const uint64_t* hashes = scratch.hashes_data;
+  const uint64_t* hashes = scratch.hashes.data();
   const uint64_t mask = mask_;
   const int64_t* words = scratch.words_data;
   const uint8_t* valid = scratch.valid_data;
@@ -599,24 +602,7 @@ void HashTable::FindJoinBatch(const Page& page,
       if (valid[i] == 0) ids[i] = -1;
     }
   }
-  ExpandSpans(ids.data(), num_rows, span_offsets, span_rows,
-              /*row_map=*/nullptr, probe_rows, build_rows);
-}
-
-void HashTable::FindJoinHashed(const int64_t* words, const uint64_t* hashes,
-                               int64_t n, const int64_t* span_offsets,
-                               const int64_t* span_rows,
-                               const int32_t* row_map,
-                               std::vector<int32_t>* probe_rows,
-                               std::vector<int64_t>* build_rows) const {
-  ACC_CHECK(word_mode_) << "FindJoinHashed requires a single fixed-width key";
-  if (n == 0) return;
-  Scratch scratch;  // aliases the caller's arrays; owns nothing
-  scratch.words_data = words;
-  scratch.hashes_data = hashes;
-  static thread_local std::vector<int64_t> ids;
-  FindBatch(scratch, n, &ids);
-  ExpandSpans(ids.data(), n, span_offsets, span_rows, row_map, probe_rows,
+  ExpandSpans(ids.data(), num_rows, span_offsets, span_rows, probe_rows,
               build_rows);
 }
 

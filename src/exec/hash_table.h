@@ -18,7 +18,9 @@ namespace accordion {
 ///     power-of-two capacity; the table grows 2x when it passes ~0.7 load.
 ///     Growth rehashes slots only — ids and canonical key storage are
 ///     stable, so consumers can index side arrays (accumulator states,
-///     join chain heads) by id across resizes.
+///     join chain heads) by id across resizes. A slot array of 4 MiB or
+///     more is mapped straight from the OS and unmapped when freed
+///     (SlotAllocator); smaller ones come from operator new.
 ///   - Fixed-width fast path: when every key column is 8-byte backed
 ///     (int64/date/bool/double), keys are packed as raw int64 words,
 ///     `num_key_columns` per id, in one contiguous vector. Equality is a
@@ -88,14 +90,6 @@ class HashTable {
   void LookupOrInsert(const std::vector<const Column*>& keys, int64_t num_rows,
                       std::vector<int64_t>* ids);
 
-  /// LookupOrInsert with precomputed row hashes (must equal what
-  /// Page::HashRows produces over the key columns). Callers that already
-  /// hashed the batch — the radix-partitioned join build hashes once to
-  /// pick partitions — skip the second hash pass.
-  void LookupOrInsertHashed(const std::vector<const Column*>& keys,
-                            int64_t num_rows, const uint64_t* hashes,
-                            std::vector<int64_t>* ids);
-
   /// Read-only batch probe: `(*ids)[row]` is the id of the matching key or
   /// -1. Thread-safe once the table is no longer being inserted into.
   void Find(const Page& page, const std::vector<int>& channels,
@@ -121,19 +115,6 @@ class HashTable {
                      const int64_t* span_offsets, const int64_t* span_rows,
                      std::vector<int32_t>* probe_rows,
                      std::vector<int64_t>* build_rows) const;
-
-  /// Word-mode probe over pre-gathered key words and their hashes (the
-  /// radix-partitioned join hashes once to pick partitions and probes
-  /// each partition table with its gathered subset). Runs FindBatch's
-  /// word loop over the caller's arrays. The words carry no validity, so
-  /// callers drop NULL-key rows first. `row_map` maps local row i to the
-  /// probe-page row written to `probe_rows` (nullptr: identity). Requires
-  /// a single fixed-width key column.
-  void FindJoinHashed(const int64_t* words, const uint64_t* hashes, int64_t n,
-                      const int64_t* span_offsets, const int64_t* span_rows,
-                      const int32_t* row_map,
-                      std::vector<int32_t>* probe_rows,
-                      std::vector<int64_t>* build_rows) const;
 
   /// Mix64(word ^ Page::kHashSeed) for a batch — bit-identical to
   /// Column::HashInto over one non-NULL fixed-width column.
@@ -162,12 +143,28 @@ class HashTable {
   static constexpr int64_t kEmptyId = -1;
   static constexpr int64_t kInitialCapacity = 1024;
 
+  /// Allocator of the slot array: AllocateSlots maps an array of 4 MiB or
+  /// more straight from the OS, and FreeSlots unmaps it.
+  template <typename T>
+  struct SlotAllocator {
+    using value_type = T;
+    SlotAllocator() = default;
+    template <typename U>
+    SlotAllocator(const SlotAllocator<U>&) {}
+    T* allocate(size_t n) {
+      return static_cast<T*>(AllocateSlots(n * sizeof(T)));
+    }
+    void deallocate(T* p, size_t n) { FreeSlots(p, n * sizeof(T)); }
+    bool operator==(const SlotAllocator&) const = default;
+  };
+  static void* AllocateSlots(size_t bytes);
+  static void FreeSlots(void* p, size_t bytes);
+  using SlotArray = std::vector<Slot, SlotAllocator<Slot>>;
+
   // Reused per-batch scratch, bundled so the const Find path can stack-
   // allocate its own while LookupOrInsert reuses the member instance.
   struct Scratch {
     std::vector<uint64_t> hashes;
-    // Points at `hashes`, or at caller-provided precomputed hashes.
-    const uint64_t* hashes_data = nullptr;
     std::vector<int64_t> words;    // fixed path: packed keys, row-major
     // Points at `words`, or straight at the key column's int64 buffer for
     // the dominant single-integer-key case (no packing pass at all).
@@ -183,10 +180,8 @@ class HashTable {
     std::vector<int64_t> offsets;  // fallback: per-row offsets into bytes
   };
 
-  /// `external_hashes` non-null skips hash computation and aliases it.
   void PrepareBatch(const std::vector<const Column*>& keys, int64_t num_rows,
-                    Scratch* scratch,
-                    const uint64_t* external_hashes = nullptr) const;
+                    Scratch* scratch) const;
   void LookupBatch(const Scratch& scratch, int64_t num_rows,
                    std::vector<int64_t>* ids);
   void FindBatch(const Scratch& scratch, int64_t num_rows,
@@ -207,7 +202,7 @@ class HashTable {
   // word, which cannot distinguish NULL from a genuine 0.
   int64_t null_group_id_ = -1;
 
-  std::vector<Slot> slots_;
+  SlotArray slots_;
   uint64_t mask_ = 0;  // capacity - 1; capacity == slots_.size()
   int64_t num_keys_ = 0;
 

@@ -1,7 +1,6 @@
 #include "exec/join_bridge.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
 #include "common/clock.h"
@@ -17,31 +16,17 @@ const EngineConfig& ConfigOf(const TaskContext* ctx) {
   return ctx ? ctx->config() : *kDefault;
 }
 
-// Raw 64-bit key words of a fixed-width column: int-backed columns alias
-// their buffer, doubles view their bit patterns (the same packing
-// HashTable::PrepareBatch uses, so words hash and compare identically).
-const int64_t* KeyWords(const Column& col, std::vector<int64_t>* storage) {
-  if (col.type() != DataType::kDouble) return col.ints().data();
-  const int64_t n = col.size();
-  storage->resize(static_cast<size_t>(n));
-  if (n > 0) std::memcpy(storage->data(), col.doubles().data(), n * 8);
-  return storage->data();
-}
-
-// Builds the CSR match list (offsets/rows grouped by dense key id) from
-// the per-row ids of a finished LookupOrInsert pass. `row_of(i)` maps the
-// local row index to the row number stored in the list.
-template <typename RowOf>
+// Builds the CSR match list (row numbers grouped by dense key id) from
+// the per-row ids of a finished LookupOrInsert pass.
 void BuildCsr(const std::vector<int64_t>& ids, int64_t num_keys,
-              std::vector<int64_t>* offsets, std::vector<int64_t>* rows,
-              RowOf row_of) {
+              std::vector<int64_t>* offsets, std::vector<int64_t>* rows) {
   const int64_t n = static_cast<int64_t>(ids.size());
   offsets->assign(static_cast<size_t>(num_keys) + 1, 0);
   for (int64_t r = 0; r < n; ++r) ++(*offsets)[ids[r] + 1];
   for (int64_t k = 0; k < num_keys; ++k) (*offsets)[k + 1] += (*offsets)[k];
   rows->resize(static_cast<size_t>(n));
   std::vector<int64_t> cursor(offsets->begin(), offsets->end() - 1);
-  for (int64_t r = 0; r < n; ++r) (*rows)[cursor[ids[r]]++] = row_of(r);
+  for (int64_t r = 0; r < n; ++r) (*rows)[cursor[ids[r]]++] = r;
 }
 
 // All-NULL column of `n` rows (outer-join padding).
@@ -133,7 +118,7 @@ Status JoinBridge::AddBuildPage(const PagePtr& page) {
   std::lock_guard<std::mutex> lock(mutex_);
   total_build_rows_ += page->num_rows();
   NoteBuildNullKeys(*page);
-  if (mode_ == Mode::kSpill) {
+  if (spilled_.load()) {
     if (!spill_status_.ok()) return spill_status_;
     std::vector<const Column*> keys;
     keys.reserve(build_keys_.size());
@@ -163,10 +148,8 @@ Status JoinBridge::AddBuildPage(const PagePtr& page) {
 }
 
 Status JoinBridge::StartSpillLocked() {
-  const JoinConfig& jc = ConfigOf(task_ctx_).join;
-  mode_ = Mode::kSpill;
   spilled_.store(true);
-  radix_ = std::make_unique<RadixPartitioner>(jc.spill_partition_bits);
+  radix_ = std::make_unique<RadixPartitioner>(kSpillPartitionBits);
   const int64_t rows = data_.empty() ? 0 : data_[0].size();
   std::vector<const Column*> keys;
   keys.reserve(build_keys_.size());
@@ -251,29 +234,17 @@ bool JoinBridge::BuildDriverFinished() {
   int remaining = --build_drivers_;
   ACC_CHECK(remaining >= 0) << "build driver underflow";
   if (remaining > 0) return false;
-  // Last driver finalizes the index; which index depends on how far the
-  // build climbed the decision ladder (flat / radix / spilled).
+  // Last driver finalizes: the in-memory index, or the spill files.
   Stopwatch sw;
   Status status;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (mode_ == Mode::kSpill) {
+    if (spilled_.load()) {
       status = FinishSpillBuildLocked();
       if (!status.ok()) spill_status_ = status;
     } else {
-      const JoinConfig& jc = ConfigOf(task_ctx_).join;
       const int64_t rows = data_.empty() ? 0 : data_[0].size();
-      std::vector<DataType> key_types =
-          HashTable::SelectKeyTypes(build_types_, build_keys_);
-      const bool word_eligible =
-          key_types.size() == 1 && key_types[0] != DataType::kString;
-      if (word_eligible && jc.radix_min_build_rows > 0 &&
-          rows >= jc.radix_min_build_rows) {
-        mode_ = Mode::kRadix;
-        BuildRadixIndexLocked();
-      } else {
-        BuildFlatIndexLocked();
-      }
+      BuildIndexLocked();
       if (needs_build_drain() && rows > 0) {
         const int64_t words = (rows + 63) / 64;
         build_matched_bits_.reset(new std::atomic<uint64_t>[words]);
@@ -296,63 +267,21 @@ ParkState JoinBridge::ParkUntilBuilt(const Waiter& waiter) {
   return built() ? ParkState::kReady : ParkState::kParked;
 }
 
-void JoinBridge::BuildFlatIndexLocked() {
+void JoinBridge::BuildIndexLocked() {
   const int64_t rows = data_.empty() ? 0 : data_[0].size();
-  auto part = std::make_unique<PartitionIndex>(
+  index_ = std::make_unique<PartitionIndex>(
       HashTable::SelectKeyTypes(build_types_, build_keys_));
   std::vector<const Column*> keys;
   keys.reserve(build_keys_.size());
   for (int key : build_keys_) keys.push_back(&data_[key]);
   std::vector<int64_t> ids;
-  part->table.Reserve(rows);  // skip the doubling/rehash ladder
-  part->table.LookupOrInsert(keys, rows, &ids);
-  BuildCsr(ids, part->table.size(), &part->offsets, &part->rows,
-           [](int64_t r) { return r; });
-  TrackBuildBytes(part->table.ByteSize() +
-                  static_cast<int64_t>(part->offsets.size() +
-                                       part->rows.size()) *
+  index_->table.Reserve(rows);  // skip the doubling/rehash ladder
+  index_->table.LookupOrInsert(keys, rows, &ids);
+  BuildCsr(ids, index_->table.size(), &index_->offsets, &index_->rows);
+  TrackBuildBytes(index_->table.ByteSize() +
+                  static_cast<int64_t>(index_->offsets.size() +
+                                       index_->rows.size()) *
                       8);
-  partitions_.push_back(std::move(part));
-}
-
-void JoinBridge::BuildRadixIndexLocked() {
-  const JoinConfig& jc = ConfigOf(task_ctx_).join;
-  const Column& key_col = data_[build_keys_[0]];
-  const int64_t rows = key_col.size();
-  std::vector<uint64_t> hashes;
-  HashKeys({&key_col}, rows, &hashes);
-  int bits = RadixPartitioner::ChooseBits(rows, jc.radix_partition_rows,
-                                          jc.radix_max_bits);
-  bits = std::max(bits, 1);
-  radix_ = std::make_unique<RadixPartitioner>(bits);
-  std::vector<std::vector<int32_t>> selections;
-  radix_->BuildSelections(hashes.data(), rows, &selections);
-  const std::vector<DataType> key_types =
-      HashTable::SelectKeyTypes(build_types_, build_keys_);
-  int64_t index_bytes = 0;
-  partitions_.reserve(radix_->num_partitions());
-  std::vector<uint64_t> part_hashes;
-  std::vector<int64_t> ids;
-  for (int p = 0; p < radix_->num_partitions(); ++p) {
-    const std::vector<int32_t>& sel = selections[p];
-    const int64_t n = static_cast<int64_t>(sel.size());
-    auto part = std::make_unique<PartitionIndex>(key_types);
-    Column part_keys(key_types[0]);
-    part_keys.AppendGather(key_col, sel.data(), n);
-    part_hashes.resize(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) part_hashes[i] = hashes[sel[i]];
-    part->table.Reserve(n);
-    part->table.LookupOrInsertHashed({&part_keys}, n, part_hashes.data(),
-                                     &ids);
-    // rows_ hold GLOBAL build row numbers so GatherBuild works unchanged.
-    BuildCsr(ids, part->table.size(), &part->offsets, &part->rows,
-             [&sel](int64_t r) { return static_cast<int64_t>(sel[r]); });
-    index_bytes +=
-        part->table.ByteSize() +
-        static_cast<int64_t>(part->offsets.size() + part->rows.size()) * 8;
-    partitions_.push_back(std::move(part));
-  }
-  TrackBuildBytes(index_bytes);
 }
 
 Status JoinBridge::FinishSpillBuildLocked() {
@@ -372,68 +301,16 @@ int64_t JoinBridge::build_rows() const {
   return total_build_rows_;
 }
 
-int JoinBridge::num_partitions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<int>(partitions_.size());
-}
-
 Status JoinBridge::Probe(const Page& probe, const std::vector<int>& probe_keys,
                          std::vector<int32_t>* probe_rows,
                          std::vector<int64_t>* build_rows) {
   ACC_CHECK(built_.load()) << "probe before hash table built";
-  // mode_ and the partition indexes are immutable once built_ is set, so
-  // the flat/radix paths run lock-free and concurrently.
-  const size_t pairs_before = build_rows->size();
-  if (mode_ == Mode::kFlat) {
-    const PartitionIndex& part = *partitions_[0];
-    part.table.FindJoinBatch(probe, probe_keys, part.offsets.data(),
-                             part.rows.data(), probe_rows, build_rows);
-    if (build_matched_bits_ != nullptr) {
-      MarkBuildRows(build_rows->data() + pairs_before,
-                    static_cast<int64_t>(build_rows->size() - pairs_before));
-    }
-    return Status::OK();
-  }
-  if (mode_ == Mode::kRadix) {
-    const int64_t n = probe.num_rows();
-    if (n == 0) return Status::OK();
-    const Column& key_col = probe.column(probe_keys[0]);
-    thread_local std::vector<int64_t> word_storage;
-    const int64_t* words = KeyWords(key_col, &word_storage);
-    thread_local std::vector<uint64_t> hashes;
-    hashes.resize(static_cast<size_t>(n));
-    HashTable::HashWords(words, n, hashes.data());
-    thread_local std::vector<std::vector<int32_t>> selections;
-    radix_->BuildSelections(hashes.data(), n, &selections);
-    if (key_col.may_have_nulls()) {
-      // FindJoinHashed probes raw key words with no validity channel; a
-      // NULL row's payload word could match a genuine key. NULL probe
-      // keys match nothing, so drop them before the partition probes.
-      const uint8_t* valid = key_col.validity().data();
-      for (auto& sel : selections) {
-        sel.erase(std::remove_if(
-                      sel.begin(), sel.end(),
-                      [valid](int32_t r) { return valid[r] == 0; }),
-                  sel.end());
-      }
-    }
-    thread_local std::vector<int64_t> part_words;
-    thread_local std::vector<uint64_t> part_hashes;
-    for (int p = 0; p < radix_->num_partitions(); ++p) {
-      const std::vector<int32_t>& sel = selections[p];
-      const int64_t np = static_cast<int64_t>(sel.size());
-      if (np == 0) continue;
-      part_words.resize(static_cast<size_t>(np));
-      part_hashes.resize(static_cast<size_t>(np));
-      for (int64_t i = 0; i < np; ++i) {
-        part_words[i] = words[sel[i]];
-        part_hashes[i] = hashes[sel[i]];
-      }
-      const PartitionIndex& part = *partitions_[p];
-      part.table.FindJoinHashed(part_words.data(), part_hashes.data(), np,
-                                part.offsets.data(), part.rows.data(),
-                                sel.data(), probe_rows, build_rows);
-    }
+  // The in-memory index is immutable once built_ is set, so the probe
+  // runs lock-free and concurrently.
+  if (!spilled_.load()) {
+    const size_t pairs_before = build_rows->size();
+    index_->table.FindJoinBatch(probe, probe_keys, index_->offsets.data(),
+                                index_->rows.data(), probe_rows, build_rows);
     if (build_matched_bits_ != nullptr) {
       MarkBuildRows(build_rows->data() + pairs_before,
                     static_cast<int64_t>(build_rows->size() - pairs_before));
@@ -683,7 +560,6 @@ Result<PagePtr> JoinBridge::NextSpilledPage(
     std::lock_guard<std::mutex> lock(mutex_);
     if (!spill_status_.ok()) return spill_status_;
   }
-  const JoinConfig& jc = ConfigOf(task_ctx_).join;
   while (true) {
     // 0. Serve variant pages produced while pair-joining.
     if (!drain_ready_.empty()) {
@@ -813,7 +689,7 @@ Result<PagePtr> JoinBridge::NextSpilledPage(
     }
     const int64_t budget = budget_bytes();
     const bool can_recurse =
-        pair.depth < jc.max_spill_recursion &&
+        pair.depth < kMaxSpillRecursion &&
         static_cast<int64_t>(radix_->bits()) * (pair.depth + 2) <= 60;
     if (budget > 0 && pair.build->bytes_written() > budget && can_recurse) {
       // Skewed partition: split both files by the next lower hash bits.
@@ -866,7 +742,7 @@ Status JoinBridge::DrainLoadChunk() {
   chunk_index_->table.LookupOrInsert(keys, rows, &ids);
   // rows_ here are chunk-local: DrainEmit gathers from chunk_cols_.
   BuildCsr(ids, chunk_index_->table.size(), &chunk_index_->offsets,
-           &chunk_index_->rows, [](int64_t r) { return r; });
+           &chunk_index_->rows);
   chunk_tracked_bytes_ =
       bytes + chunk_index_->table.ByteSize() +
       static_cast<int64_t>(chunk_index_->offsets.size() +

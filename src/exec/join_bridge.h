@@ -25,30 +25,23 @@ class TaskContext;
 /// last finishing driver constructs the index and flips `built`. Probe
 /// drivers stay parked on the bridge until then (paper §4.1).
 ///
-/// The index escalates through three shapes as the build side grows —
-/// the decision ladder:
+/// The build side takes one of two shapes — the decision ladder:
 ///
-///   1. kFlat — one open-addressing HashTable plus a CSR match list:
-///      `rows_[offsets_[id] .. offsets_[id+1])` are the build rows of key
+///   1. In memory — one open-addressing HashTable plus a CSR match list:
+///      `rows[offsets[id] .. offsets[id+1])` are the build rows of key
 ///      `id`. Probes go through HashTable::FindJoinBatch, one scalar
 ///      batch loop for every key layout.
-///   2. kRadix — past JoinConfig::radix_min_build_rows (single
-///      fixed-width key only), the build splits by the TOP bits of the
-///      key hash into 2^bits cache-sized partition tables (reusing
-///      RadixPartitioner). Each probe page is hashed once, scattered by
-///      the same bits, and probes exactly one partition table per row, so
-///      huge build tables stop thrashing cache.
-///   3. kSpill (grace hash join) — when tracked build bytes exceed the
-///      task's budget (TaskContext::build_budget_bytes), accumulated and
-///      incoming build pages scatter to 2^spill_partition_bits SpillFiles
-///      by hash; probe pages scatter to matching files; after both sides
-///      finish, the last probe driver drains partition-pairwise
-///      (NextSpilledPage), recursing on partitions still over budget
-///      with the next lower hash bits, and falling back to build-chunked
-///      multi-pass probing at the recursion limit.
+///   2. Grace spill — when tracked build bytes exceed the task's budget
+///      (TaskContext::build_budget_bytes), accumulated and incoming build
+///      pages scatter to 2^kSpillPartitionBits SpillFiles by hash; probe
+///      pages scatter to matching files; after both sides finish, the
+///      last probe driver drains partition-pairwise (NextSpilledPage),
+///      recursing on partitions still over budget with the next lower
+///      hash bits, and falling back to build-chunked multi-pass probing
+///      at the recursion limit.
 ///
-/// Join variants: the bridge carries the plan's JoinType. In the in-memory
-/// modes, Probe() returns the inner match pairs and the probe operator
+/// Join variants: the bridge carries the plan's JoinType. In memory,
+/// Probe() returns the inner match pairs and the probe operator
 /// derives the variant output from them (unmatched probe rows, semi/anti
 /// selection, mark column); the bridge's contributions are an atomic
 /// matched-build bitmap for right/full joins (drained as null-padded pages
@@ -68,6 +61,15 @@ class TaskContext;
 /// the context provides a budget).
 class JoinBridge {
  public:
+  /// log2 of the spill fan-out: each grace-spill level scatters into
+  /// 2^kSpillPartitionBits partition files.
+  static constexpr int kSpillPartitionBits = 4;
+
+  /// Maximum spill repartition depth for skewed partitions. A partition
+  /// still over budget at max depth is processed in build chunks
+  /// (multiple probe passes) instead of recursing further.
+  static constexpr int kMaxSpillRecursion = 3;
+
   /// `probe_types` is required for join types that synthesize probe-side
   /// columns during the drain (right/full padding) or stage probe pages
   /// (any spill); inner-join tests may omit it.
@@ -100,15 +102,13 @@ class JoinBridge {
   /// Wall time spent constructing the index (the T_build component of the
   /// paper's state-transfer accounting).
   int64_t build_index_micros() const { return build_index_us_.load(); }
-  /// In-memory radix partition count (1 = flat table; 0 = spilled).
-  int num_partitions() const;
 
   // --- probe side ---
   void AddProbeDriver() { ++probe_drivers_; }
 
   /// Appends to `probe_rows`/`build_rows` the matching row pairs for every
   /// row of `probe` (equality on all key channels; NULL keys never match).
-  /// Requires built(). Flat/radix modes are lock-free (the index is
+  /// Requires built(). In memory the probe is lock-free (the index is
   /// immutable once built) apart from the relaxed matched-build bitmap
   /// updates right/full joins perform; in spill mode the page is scattered
   /// to probe spill files under the bridge mutex and no pairs are returned
@@ -119,7 +119,7 @@ class JoinBridge {
 
   /// Returns true for the last probe driver when the bridge has more rows
   /// to stream after probing: always when spilled, and for right/full
-  /// joins (unmatched build rows) in the in-memory modes. That driver
+  /// joins (unmatched build rows) in memory. That driver
   /// becomes the drainer and must pull NextSpilledPage until null.
   bool ProbeDriverFinished();
 
@@ -134,7 +134,7 @@ class JoinBridge {
                                   const std::vector<int>& build_output_channels);
 
   /// Gathers `channel` of the accumulated build rows at `rows`
-  /// (flat/radix modes only; spilled matches are gathered internally).
+  /// (in memory only; spilled matches are gathered internally).
   Column GatherBuild(int channel, const std::vector<int64_t>& rows) const;
   Column GatherBuild(int channel, const int64_t* rows, int64_t count) const;
   /// Like GatherBuild but a negative row yields a NULL (left/full joins).
@@ -142,11 +142,9 @@ class JoinBridge {
                              int64_t count) const;
 
  private:
-  enum class Mode { kFlat, kRadix, kSpill };
-
-  /// One built index: a table plus its CSR match list. Flat mode has one;
-  /// radix mode one per partition (rows_ hold global build row numbers);
-  /// the spill drain rebuilds one per build chunk (rows_ chunk-local).
+  /// One built index: a table plus its CSR match list. An in-memory join
+  /// has one (rows hold build row numbers); the spill drain rebuilds one
+  /// per build chunk (rows chunk-local).
   struct PartitionIndex {
     explicit PartitionIndex(std::vector<DataType> key_types)
         : table(std::move(key_types)) {}
@@ -198,8 +196,7 @@ class JoinBridge {
                          const std::vector<std::vector<int32_t>>& selections);
   Status FlushStageLocked(Stage* stage, SpillFile* file);
 
-  void BuildFlatIndexLocked();
-  void BuildRadixIndexLocked();
+  void BuildIndexLocked();
   Status FinishSpillBuildLocked();
 
   // --- spill drain (single-threaded: last probe driver only) ---
@@ -236,11 +233,10 @@ class JoinBridge {
   int64_t tracked_bytes_ = 0;  // bytes reported to the task context
   bool build_has_null_key_ = false;
 
-  Mode mode_ = Mode::kFlat;
-  std::vector<std::unique_ptr<PartitionIndex>> partitions_;
-  std::unique_ptr<RadixPartitioner> radix_;  // radix + spill level 0
+  std::unique_ptr<PartitionIndex> index_;  // in memory: set once built
+  std::unique_ptr<RadixPartitioner> radix_;  // spill level-0 fan-out
 
-  // Right/full joins, in-memory modes: bit per build row, set under
+  // Right/full joins in memory: bit per build row, set under
   // concurrent probing with relaxed fetch_or (the probe-driver count
   // provides the ordering the drainer needs).
   std::unique_ptr<std::atomic<uint64_t>[]> build_matched_bits_;

@@ -9,6 +9,14 @@
 
 namespace accordion {
 
+namespace {
+/// Consumer-side resize cadence for elastic buffers (paper: ~500 ms).
+constexpr int64_t kBufferResizeIntervalMs = 500;
+
+/// Shuffle-executor threads per shuffle buffer (paper Fig. 10b).
+constexpr int kShuffleExecutors = 2;
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // ElasticCapacity
 // ---------------------------------------------------------------------------
@@ -41,7 +49,7 @@ void ElasticCapacity::OnConsume(int64_t bytes) {
   std::lock_guard<std::mutex> lock(window_mutex_);
   window_bytes_ += bytes;
   int64_t now = NowMillis();
-  if (now - window_start_ms_ >= config_->buffer_resize_interval_ms) {
+  if (now - window_start_ms_ >= kBufferResizeIntervalMs) {
     // Re-fit capacity to the recent consumption rate (with headroom), so
     // production never outruns consumption by more than one window.
     int64_t fitted = std::max(config_->memory.initial_buffer_bytes,
@@ -313,8 +321,7 @@ bool BroadcastBuffer::AllConsumersDone() const {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!NoMoreInput()) return false;
   for (const auto& c : consumers_) {
-    if (!c.done && c.next_page < cache_.size()) return false;
-    if (!c.done && c.next_page == cache_.size()) return false;
+    if (!c.done) return false;
   }
   return true;
 }
@@ -358,12 +365,11 @@ ShuffleBuffer::~ShuffleBuffer() {
 
 std::vector<ShuffleBuffer::ExecutorUnit*> ShuffleBuffer::NewExecutorsLocked() {
   std::vector<ExecutorUnit*> units;
-  const int n = task_ctx_->config().shuffle_executors;
-  for (int i = 0; i < n; ++i) {
+  for (int i = 0; i < kShuffleExecutors; ++i) {
     executors_.push_back(std::make_unique<ExecutorUnit>(this));
     units.push_back(executors_.back().get());
   }
-  live_executors_ += n;
+  live_executors_ += kShuffleExecutors;
   return units;
 }
 
@@ -589,7 +595,6 @@ bool ShuffleBuffer::AllConsumersDone() const {
   if (!NoMoreInput() || !DrainedLocked()) return false;
   for (const auto& group : groups_) {
     for (int i = 0; i < group.count; ++i) {
-      if (!group.done[i] && !group.queues[i].empty()) return false;
       if (!group.done[i]) return false;
     }
   }
@@ -628,14 +633,12 @@ void ShuffleBuffer::AddTaskGroup(int count, int first_buffer_id) {
   }
   // Reshuffle the cache into the new group (Table 2's "shuffle time"),
   // blocking the calling control-plane thread on the simulated shuffle CPU.
-  int64_t bytes = 0;
   Pacer* pacer = task_ctx_->pacer();
   std::vector<WaiterSet*> woken;
   for (const auto& page : replay) {
     if (pacer != nullptr) {
       SleepUntilMicros(pacer->ChargeShuffle(page->num_rows()));
     }
-    bytes += page->ByteSize();
     woken.clear();
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -649,7 +652,6 @@ void ShuffleBuffer::AddTaskGroup(int count, int first_buffer_id) {
     woken = AllConsumerWaitersLocked();
   }
   for (WaiterSet* waiters : woken) waiters->WakeAll();
-  last_reshuffle_bytes_ = bytes;
 }
 
 void ShuffleBuffer::SwitchToNewestGroup() {
@@ -664,11 +666,6 @@ void ShuffleBuffer::SwitchToNewestGroup() {
     woken = AllConsumerWaitersLocked();  // old groups may complete now
   }
   for (WaiterSet* waiters : woken) waiters->WakeAll();
-}
-
-int ShuffleBuffer::NumGroups() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<int>(groups_.size());
 }
 
 std::unique_ptr<OutputBuffer> MakeOutputBuffer(OutputBufferConfig config,

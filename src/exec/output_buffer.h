@@ -286,13 +286,6 @@ class ShuffleBuffer : public OutputBuffer {
   void AddTaskGroup(int count, int first_buffer_id) override;
   void SwitchToNewestGroup() override;
 
-  /// Number of task groups created so far (first = 0).
-  int NumGroups() const;
-
-  /// Bytes reshuffled from cache by the latest AddTaskGroup (Table 2's
-  /// shuffle-time accounting).
-  int64_t last_reshuffle_bytes() const { return last_reshuffle_bytes_.load(); }
-
  protected:
   PagesResult FetchNewPages(int buffer_id, int max_pages,
                             const Waiter* waiter) override;
@@ -332,7 +325,7 @@ class ShuffleBuffer : public OutputBuffer {
   };
 
   Schedulable::Quantum ExecutorQuantum(ExecutorUnit* unit, int64_t quantum_us);
-  /// Creates `shuffle_executors` fresh executor units and returns them for
+  /// Creates kShuffleExecutors fresh executor units and returns them for
   /// the caller to enqueue once it dropped mutex_. Caller holds mutex_.
   std::vector<ExecutorUnit*> NewExecutorsLocked();
   void EnqueueExecutors(const std::vector<ExecutorUnit*>& units);
@@ -353,7 +346,6 @@ class ShuffleBuffer : public OutputBuffer {
   int in_flight_ = 0;   // pages popped but not yet delivered
   int replaying_ = 0;   // active AddTaskGroup cache replays
   int live_executors_ = 0;  // executor units not yet finished
-  std::atomic<int64_t> last_reshuffle_bytes_{0};
   std::vector<std::unique_ptr<ExecutorUnit>> executors_;
   WaiterSet input_waiters_;  // idle executors
   // Scatter scratch reused across pages; guarded by mutex_ (the partition

@@ -25,8 +25,7 @@ class Pacer {
   Pacer(const std::string& node, const NodeConfig& node_config,
         const CostModel& cost)
       : cost_(cost),
-        cpu_(node + ".cpu", node_config.cpu_cores,
-             node_config.cpu_burst_seconds),
+        cpu_(node + ".cpu", node_config.cpu_cores, kCpuBurstSeconds),
         nic_(node + ".nic", node_config.nic_bytes_per_sec,
              node_config.nic_burst_bytes) {}
 
@@ -55,6 +54,10 @@ class Pacer {
   const ResourceGovernor& nic() const { return nic_; }
 
  private:
+  /// Bucket capacity of the simulated CPU, in core-seconds: how far a
+  /// node's demand may run ahead of its sustained rate.
+  static constexpr double kCpuBurstSeconds = 0.05;
+
   const CostModel cost_;
   ResourceGovernor cpu_;
   ResourceGovernor nic_;

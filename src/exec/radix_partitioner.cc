@@ -4,17 +4,6 @@
 
 namespace accordion {
 
-int RadixPartitioner::ChooseBits(int64_t expected_groups,
-                                 int64_t target_per_partition, int max_bits) {
-  ACC_CHECK(target_per_partition > 0);
-  int bits = 0;
-  while (bits < max_bits &&
-         (expected_groups >> bits) > target_per_partition) {
-    ++bits;
-  }
-  return bits;
-}
-
 RadixPartitioner::RadixPartitioner(int bits) : bits_(bits), shift_(64 - bits) {
   ACC_CHECK(bits >= 1 && bits < 32) << "radix bits out of range: " << bits;
 }

@@ -8,15 +8,15 @@
 
 namespace accordion {
 
-/// Radix partitioning machinery shared by the join build, grace spill and
-/// the partitioned shuffle write path.
+/// Radix partitioning machinery shared by the grace-spill join and the
+/// partitioned shuffle write path.
 ///
-/// The join uses (the radix-partitioned in-memory build and the grace
-/// spill fan-out): rows split into 2^bits partitions by the TOP `bits` of
-/// each row hash, and each partition gets its own small HashTable. Slot
-/// indices use the LOW bits of the same hash, so within a partition the
-/// slot distribution stays uniform. Build and probe rows with equal keys
-/// land in the same partition, so partitions join pairwise.
+/// The grace-spill use: rows split into 2^bits partition files by the TOP
+/// `bits` of each row hash, and each partition later builds its own
+/// HashTable. Slot indices use the LOW bits of the same hash, so within a
+/// partition the slot distribution stays uniform. Build and probe rows
+/// with equal keys land in the same partition, so partitions join
+/// pairwise.
 ///
 /// The shuffle use: consumer routing is `hash % count` (count is the
 /// consumer count, not a power of two) — BuildModuloSelections keeps that
@@ -24,12 +24,6 @@ namespace accordion {
 /// selection-vector machinery.
 class RadixPartitioner {
  public:
-  /// Smallest number of radix bits (capped at `max_bits`) so that
-  /// `expected_groups` distinct keys land at or under
-  /// `target_per_partition` per partition.
-  static int ChooseBits(int64_t expected_groups, int64_t target_per_partition,
-                        int max_bits);
-
   explicit RadixPartitioner(int bits);
 
   int bits() const { return bits_; }

@@ -102,8 +102,8 @@ class Column {
   void AppendRange(const Column& other, int64_t start, int64_t count);
 
   /// Appends the rows of `other` selected by `rows` (in order): the
-  /// gather-append used by selection-vector scatter (radix-partitioned
-  /// join builds, partitioned shuffles). One resize, then a tight indexed
+  /// gather-append used by selection-vector scatter (grace-spill join
+  /// partitions, partitioned shuffles). One resize, then a tight indexed
   /// copy — no per-element capacity checks.
   void AppendGather(const Column& other, const int32_t* rows, int64_t count);
 

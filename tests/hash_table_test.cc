@@ -531,7 +531,7 @@ TEST(HashTablePropertyTest, RandomizedAgainstUnorderedMapStringKeys) {
 }
 
 // --- batch join probe properties --------------------------------------------
-// FindJoinBatch (and FindJoinHashed) must reproduce the FindJoin reference
+// FindJoinBatch must reproduce the FindJoin reference
 // match pairs bit-for-bit — same pairs, same order — for every row-count
 // shape around the prefetch-distance and page boundaries and for hostile
 // key distributions.
@@ -679,51 +679,12 @@ TEST(FindJoinBatchPropertyTest, DoubleKeysProbeByBitPattern) {
   ExpectBatchMatchesScalar(table, *probe, {0}, offsets, rows);
 }
 
-TEST(FindJoinBatchPropertyTest, FindJoinHashedWithRowMap) {
-  // The partition-probe entry point: pre-gathered words + hashes with a
-  // row_map must emit the mapped probe rows, matching a hand-filtered
-  // FindJoin over the selected subset.
-  Random rng(123);
-  std::vector<int64_t> build_keys;
-  for (int i = 0; i < 2000; ++i) build_keys.push_back(rng.NextInt(0, 500));
-  HashTable table({DataType::kInt64});
-  std::vector<int64_t> offsets, rows;
-  BuildSpans(&table, *IntPage(build_keys), &offsets, &rows);
-  // A probe page and an arbitrary selection of its rows.
-  std::vector<int64_t> probe_keys;
-  for (int i = 0; i < 1000; ++i) probe_keys.push_back(rng.NextInt(0, 1000));
-  std::vector<int32_t> selection;
-  for (int i = 0; i < 1000; i += 3) selection.push_back(i);
-  std::vector<int64_t> words(selection.size());
-  std::vector<uint64_t> hashes(selection.size());
-  for (size_t i = 0; i < selection.size(); ++i) {
-    words[i] = probe_keys[selection[i]];
-  }
-  HashTable::HashWords(words.data(), static_cast<int64_t>(words.size()),
-                       hashes.data());
-  std::vector<int32_t> got_probe;
-  std::vector<int64_t> got_build;
-  table.FindJoinHashed(words.data(), hashes.data(),
-                       static_cast<int64_t>(words.size()), offsets.data(),
-                       rows.data(), selection.data(), &got_probe, &got_build);
-  // Reference: probe only the selected rows via the gathered page.
-  std::vector<int32_t> want_probe;
-  std::vector<int64_t> want_build;
-  Column sel_col(DataType::kInt64);
-  for (int64_t w : words) sel_col.AppendInt(w);
-  table.FindJoin(*Page::Make({std::move(sel_col)}), {0}, offsets.data(),
-                 rows.data(), &want_probe, &want_build);
-  ASSERT_EQ(got_build, want_build);
-  ASSERT_EQ(got_probe.size(), want_probe.size());
-  for (size_t i = 0; i < got_probe.size(); ++i) {
-    ASSERT_EQ(got_probe[i], selection[want_probe[i]]);
-  }
-}
-
 TEST(FindJoinBatchPropertyTest, HashWordsMatchesColumnHashInto) {
-  // The radix join picks a probe row's partition with HashWords but a
-  // build row's with Column::HashInto: the two must agree bit-for-bit on
-  // integer and double keys, or matching rows land in different partitions.
+  // Grace spill picks a row's partition file from the TOP bits of
+  // Column::HashInto and relies on the table taking its slot from the LOW
+  // bits of that same hash (JoinBridge::HashKeys); a word-mode table
+  // computes it with HashWords. The two must agree bit-for-bit on integer
+  // and double keys.
   auto expect_same = [](const Column& col, const std::vector<int64_t>& words) {
     std::vector<uint64_t> want(words.size(), Page::kHashSeed);
     col.HashInto(&want);
@@ -752,33 +713,11 @@ TEST(FindJoinBatchPropertyTest, HashWordsMatchesColumnHashInto) {
   }
 }
 
-TEST(HashTablePropertyTest, HashedLookupMatchesUnhashed) {
-  // LookupOrInsertHashed with Page::HashRows-computed hashes must behave
-  // exactly like the self-hashing path (the radix join build's contract).
-  Random rng(321);
-  HashTable self_hashing({DataType::kInt64});
-  HashTable pre_hashed({DataType::kInt64});
-  for (int batch = 0; batch < 6; ++batch) {
-    std::vector<int64_t> keys;
-    for (int i = 0; i < 3000; ++i) keys.push_back(rng.NextInt(0, 4000));
-    PagePtr page = IntPage(keys);
-    std::vector<int64_t> ids_a, ids_b;
-    self_hashing.LookupOrInsert(*page, {0}, &ids_a);
-    std::vector<uint64_t> hashes;
-    page->HashRows({0}, &hashes);
-    std::vector<const Column*> cols{&page->column(0)};
-    pre_hashed.LookupOrInsertHashed(cols, page->num_rows(), hashes.data(),
-                                    &ids_b);
-    ASSERT_EQ(ids_a, ids_b) << "batch " << batch;
-  }
-  EXPECT_EQ(self_hashing.size(), pre_hashed.size());
-}
-
 // --- NULL key encoding -------------------------------------------------------
 // The table's NULL-vs-payload disambiguation is load-bearing in three
 // layouts at once (word-mode sentinel id, fixed-path null-mask word,
-// serialized-path validity byte) and must survive the radix and spill
-// plumbing that re-hashes and re-materializes keys. These tests hit the
+// serialized-path validity byte) and must survive the spill plumbing that
+// re-hashes and re-materializes keys. These tests hit the
 // adversarial corners: NULL vs the zero payload NULL rows carry, all-NULL
 // pages, NULL position in compound keys, and round trips.
 
@@ -1044,7 +983,7 @@ TEST(HashTableNullKeyTest, JoinProbesNeverMatchNullInAnyLayout) {
 }
 
 TEST(HashTableNullKeyTest, RadixPartitioningKeepsNullRowsTogether) {
-  // The radix join hashes once to pick partitions: every NULL key hashes
+  // Grace spill hashes once to pick partition files: every NULL key hashes
   // to the same sentinel-derived value, so all NULL rows of a column land
   // in ONE partition and per-partition tables see the same groups the
   // single-table path does.

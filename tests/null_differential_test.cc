@@ -125,18 +125,9 @@ TEST_P(NullDifferentialTest, EngineMatchesOracleUnderNullInjection) {
   }
 }
 
-// The out-of-cache join paths must implement the same NULL semantics:
-// one pass with every nontrivial build forced through the in-memory
-// radix-partitioned index, one with a build budget small enough to force
-// grace spilling (partition files + pairwise drain).
-TEST_P(NullDifferentialTest, ForcedRadixMatchesOracleUnderNullInjection) {
-  const uint64_t seed = kSeeds[GetParam()];
-  AccordionCluster::Options options = ClusterOptions(0.30, seed);
-  options.engine.join.radix_min_build_rows = 64;
-  options.engine.join.radix_partition_rows = 256;
-  RunDifferential(options, "forced-radix seed=" + std::to_string(seed));
-}
-
+// The grace-spill join path must implement the same NULL semantics: a
+// build budget small enough to force spilling (partition files + pairwise
+// drain).
 TEST_P(NullDifferentialTest, ForcedSpillMatchesOracleUnderNullInjection) {
   const uint64_t seed = kSeeds[GetParam()];
   AccordionCluster::Options options = ClusterOptions(0.30, seed);

@@ -22,16 +22,6 @@ PagePtr MixedPage(int64_t rows, uint32_t seed) {
   return Page::Make({std::move(ints), std::move(doubles), std::move(strings)});
 }
 
-TEST(RadixPartitionerTest, ChooseBitsCoversExpectedGroups) {
-  EXPECT_EQ(RadixPartitioner::ChooseBits(1000, 4096, 10), 0);
-  EXPECT_EQ(RadixPartitioner::ChooseBits(4096, 4096, 10), 0);
-  EXPECT_EQ(RadixPartitioner::ChooseBits(4097, 4096, 10), 1);
-  EXPECT_EQ(RadixPartitioner::ChooseBits(1 << 16, 4096, 10), 4);
-  EXPECT_EQ(RadixPartitioner::ChooseBits(1 << 20, 4096, 10), 8);
-  // Capped at max_bits no matter the cardinality.
-  EXPECT_EQ(RadixPartitioner::ChooseBits(1LL << 40, 4096, 10), 10);
-}
-
 TEST(RadixPartitionerTest, SelectionsPartitionEveryRowExactlyOnce) {
   Random rng(5);
   std::vector<uint64_t> hashes;

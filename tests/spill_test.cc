@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -222,7 +223,7 @@ TEST(GraceSpillJoinTest, SpilledJoinMatchesInMemoryOracle) {
   EXPECT_EQ(DrainAll(&bridge), expected);
   EXPECT_GT(env.ctx->spill_bytes_written(), 0);
   EXPECT_GE(env.ctx->spill_partitions(),
-            1 << env.config.join.spill_partition_bits);
+            1 << JoinBridge::kSpillPartitionBits);
   EXPECT_GT(env.ctx->peak_build_bytes(), 0);
 }
 
@@ -260,7 +261,7 @@ TEST(GraceSpillJoinTest, SkewedKeyRecursesThenChunks) {
   EXPECT_EQ(got, expected);
   // Recursion creates sub-partition files beyond the level-0 fan-out.
   EXPECT_GT(env.ctx->spill_partitions(),
-            1 << env.config.join.spill_partition_bits);
+            1 << JoinBridge::kSpillPartitionBits);
 }
 
 TEST(GraceSpillJoinTest, StringKeysSpillThroughGenericPath) {
@@ -333,53 +334,106 @@ TEST(GraceSpillJoinTest, NoProbePagesDrainsEmpty) {
   EXPECT_EQ(next.value(), nullptr);
 }
 
-// --- in-memory radix path ----------------------------------------------------
+// --- large in-memory build ---------------------------------------------------
 
-TEST(RadixJoinTest, RadixBuildMatchesFlatBridge) {
-  // Force the radix threshold low so a small build exercises the
-  // partitioned index, and compare every match pair against a flat
-  // bridge over the same data (global row ids must be preserved).
-  BridgeEnv env(0);  // no budget: never spills
-  env.config.join.radix_min_build_rows = 1024;
-  Random rng(31);
-  std::vector<int64_t> keys, payloads;
-  for (int64_t i = 0; i < 20000; ++i) {
-    keys.push_back(rng.NextInt(0, 2999));
-    payloads.push_back(i);
+TEST(InMemoryJoinTest, LargeBuildMatchesOracle) {
+  // 300,000 build rows size the slot array to 8 MiB, past the size from
+  // which HashTable maps it straight from the OS, so the bridge builds,
+  // probes and frees a mapped array. Keys repeat and every 50th build key
+  // is NULL: NULL keys never match, and a right join drains those rows
+  // with the other unmatched ones.
+  constexpr int64_t kBuildRows = 300000;
+  constexpr int64_t kKeyRange = 200000;
+  constexpr int64_t kPageRows = 4096;
+  Random rng(41);
+  std::vector<PagePtr> build_pages;
+  std::unordered_multimap<int64_t, int64_t> oracle;  // key -> build payload
+  for (int64_t base = 0; base < kBuildRows; base += kPageRows) {
+    Column k(DataType::kInt64), p(DataType::kInt64);
+    for (int64_t r = base; r < std::min(base + kPageRows, kBuildRows); ++r) {
+      if (r % 50 == 0) {
+        k.AppendNull();
+      } else {
+        const int64_t key = rng.NextInt(0, kKeyRange - 1);
+        k.AppendInt(key);
+        oracle.emplace(key, r);
+      }
+      p.AppendInt(r);
+    }
+    build_pages.push_back(Page::Make({std::move(k), std::move(p)}));
   }
-  JoinBridge radix_bridge({DataType::kInt64, DataType::kInt64}, {0},
-                          env.ctx.get());
-  JoinBridge flat_bridge({DataType::kInt64, DataType::kInt64}, {0});
-  for (JoinBridge* bridge : {&radix_bridge, &flat_bridge}) {
-    bridge->AddBuildDriver();
-    ASSERT_TRUE(bridge->AddBuildPage(TwoColPage(keys, payloads)).ok());
-    ASSERT_TRUE(bridge->BuildDriverFinished());
+  std::vector<PagePtr> probe_pages;
+  std::multiset<JoinTuple> expected_pairs;
+  std::vector<bool> build_matched(kBuildRows, false);
+  for (int64_t page = 0; page < 16; ++page) {
+    Column k(DataType::kInt64), p(DataType::kInt64);
+    for (int64_t r = 0; r < kPageRows; ++r) {
+      const int64_t ppay = -(page * kPageRows + r);
+      p.AppendInt(ppay);
+      if (r % 64 == 0) {
+        k.AppendNull();
+        continue;
+      }
+      const int64_t key = rng.NextInt(0, 2 * kKeyRange - 1);  // ~half miss
+      k.AppendInt(key);
+      auto [begin, end] = oracle.equal_range(key);
+      for (auto it = begin; it != end; ++it) {
+        expected_pairs.emplace(key, ppay, it->second);
+        build_matched[it->second] = true;
+      }
+    }
+    probe_pages.push_back(Page::Make({std::move(k), std::move(p)}));
   }
-  EXPECT_GT(radix_bridge.num_partitions(), 1);
-  EXPECT_EQ(flat_bridge.num_partitions(), 1);
-  std::vector<int64_t> probe_keys, probe_payloads;
-  for (int i = 0; i < 4096; ++i) {
-    probe_keys.push_back(rng.NextInt(0, 5999));
-    probe_payloads.push_back(-i);
+  std::vector<int64_t> expected_unmatched;
+  for (int64_t r = 0; r < kBuildRows; ++r) {
+    if (!build_matched[r]) expected_unmatched.push_back(r);
   }
-  PagePtr probe = TwoColPage(probe_keys, probe_payloads);
-  std::vector<int32_t> radix_probe, flat_probe;
-  std::vector<int64_t> radix_build, flat_build;
-  ASSERT_TRUE(radix_bridge.Probe(*probe, {0}, &radix_probe, &radix_build).ok());
-  ASSERT_TRUE(flat_bridge.Probe(*probe, {0}, &flat_probe, &flat_build).ok());
-  // The radix path emits matches grouped by partition, so compare as
-  // multisets of pairs.
-  std::multiset<std::pair<int32_t, int64_t>> radix_pairs, flat_pairs;
-  ASSERT_EQ(radix_probe.size(), radix_build.size());
-  ASSERT_EQ(flat_probe.size(), flat_build.size());
-  for (size_t i = 0; i < radix_probe.size(); ++i) {
-    radix_pairs.emplace(radix_probe[i], radix_build[i]);
+
+  for (JoinType type : {JoinType::kInner, JoinType::kRight}) {
+    SCOPED_TRACE(type == JoinType::kInner ? "inner" : "right");
+    BridgeEnv env(0);  // no budget: never spills
+    JoinBridge bridge({DataType::kInt64, DataType::kInt64}, {0}, env.ctx.get(),
+                      type, {DataType::kInt64, DataType::kInt64});
+    bridge.AddBuildDriver();
+    bridge.AddProbeDriver();
+    for (const PagePtr& page : build_pages) {
+      ASSERT_TRUE(bridge.AddBuildPage(page).ok());
+    }
+    ASSERT_TRUE(bridge.BuildDriverFinished());
+    ASSERT_FALSE(bridge.spilled());
+    EXPECT_GT(env.ctx->peak_build_bytes(), int64_t{8} << 20);
+    std::multiset<JoinTuple> got_pairs;
+    std::vector<int32_t> probe_rows;
+    std::vector<int64_t> build_rows;
+    for (const PagePtr& page : probe_pages) {
+      probe_rows.clear();
+      build_rows.clear();
+      ASSERT_TRUE(bridge.Probe(*page, {0}, &probe_rows, &build_rows).ok());
+      const Column bpay = bridge.GatherBuild(1, build_rows);
+      for (size_t i = 0; i < probe_rows.size(); ++i) {
+        got_pairs.emplace(page->column(0).IntAt(probe_rows[i]),
+                          page->column(1).IntAt(probe_rows[i]), bpay.IntAt(i));
+      }
+    }
+    EXPECT_EQ(got_pairs, expected_pairs);
+    const bool drains = bridge.ProbeDriverFinished();
+    ASSERT_EQ(drains, type == JoinType::kRight);
+    if (!drains) continue;
+    std::vector<int64_t> got_unmatched;
+    while (true) {
+      auto next = bridge.NextSpilledPage({0}, {1});
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      PagePtr out = std::move(next).value();
+      if (out == nullptr) break;
+      ASSERT_EQ(out->num_columns(), 3);
+      for (int64_t r = 0; r < out->num_rows(); ++r) {
+        ASSERT_TRUE(out->column(0).IsNull(r) && out->column(1).IsNull(r));
+        got_unmatched.push_back(out->column(2).IntAt(r));
+      }
+    }
+    std::sort(got_unmatched.begin(), got_unmatched.end());
+    EXPECT_EQ(got_unmatched, expected_unmatched);
   }
-  for (size_t i = 0; i < flat_probe.size(); ++i) {
-    flat_pairs.emplace(flat_probe[i], flat_build[i]);
-  }
-  EXPECT_EQ(radix_pairs, flat_pairs);
-  EXPECT_FALSE(flat_pairs.empty());
 }
 
 // --- memory/knob API validation ----------------------------------------------
@@ -400,16 +454,6 @@ TEST(MemoryConfigTest, RejectsNonsensicalCombinations) {
     EngineConfig config;
     config.memory.initial_buffer_bytes = 1 << 20;
     config.memory.max_buffer_bytes = 1 << 10;  // max < initial
-    EXPECT_EQ(config.Normalize().code(), StatusCode::kInvalidArgument);
-  }
-  {
-    EngineConfig config;
-    config.join.spill_partition_bits = 0;
-    EXPECT_EQ(config.Normalize().code(), StatusCode::kInvalidArgument);
-  }
-  {
-    EngineConfig config;
-    config.join.max_spill_recursion = 0;
     EXPECT_EQ(config.Normalize().code(), StatusCode::kInvalidArgument);
   }
   {

@@ -100,12 +100,10 @@ TEST_P(TpchSqlDifferentialTest, SqlTextMatchesScalarReference) {
 INSTANTIATE_TEST_SUITE_P(SqlSubsetQueries, TpchSqlDifferentialTest,
                          ::testing::Range(1, 13));
 
-// Out-of-cache join paths vs the same oracle: one pass with a build-side
-// memory budget tiny enough that every nontrivial hash join is forced
-// through the grace-spill path (partition files, pairwise drain,
-// recursion on skew), and one with the radix threshold dropped so every
-// join build takes the in-memory partitioned index. Both must be
-// invisible in the result relation for all twelve queries.
+// The grace-spill join path vs the same oracle: a build-side memory budget
+// tiny enough that every nontrivial hash join is forced through partition
+// files, the pairwise drain and recursion on skew must be invisible in the
+// result relation for all twelve queries.
 class TpchSpillDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(TpchSpillDifferentialTest, ForcedSpillMatchesScalarReference) {
@@ -155,34 +153,6 @@ TEST_P(TpchSpillDifferentialTest, ForcedSpillMatchesScalarReference) {
       break;
     default:
       break;
-  }
-}
-
-TEST_P(TpchSpillDifferentialTest, ForcedRadixMatchesScalarReference) {
-  const int q = GetParam();
-  RefRelation expected;
-  {
-    AccordionCluster cluster(ClusterOptions(256));
-    expected = ReferenceEvaluate(
-        TpchQueryPlan(q, cluster.coordinator()->catalog()), kScaleFactor);
-  }
-  for (int dop : {1, 4}) {
-    AccordionCluster::Options options = ClusterOptions(256);
-    options.engine.join.radix_min_build_rows = 64;  // radix on tiny builds
-    options.engine.join.radix_partition_rows = 256;
-    AccordionCluster cluster(options);
-    Session session(cluster.coordinator());
-    QueryOptions query_options;
-    query_options.stage_dop = dop;
-    query_options.task_dop = dop;
-    auto query =
-        session.Execute(TpchQueryPlan(q, session.catalog()), query_options);
-    ASSERT_TRUE(query.ok()) << query.status().ToString();
-    auto result = (*query)->Wait(120000);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    std::string diff = DiffRows(expected, *result);
-    EXPECT_TRUE(diff.empty())
-        << "Q" << q << " forced-radix dop=" << dop << ": " << diff;
   }
 }
 
