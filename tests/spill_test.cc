@@ -14,7 +14,10 @@
 #include "common/random.h"
 #include "common/resource_governor.h"
 #include "exec/join_bridge.h"
+#include "exec/operators.h"
 #include "exec/task_context.h"
+#include "plan/builder.h"
+#include "tests/reference_eval.h"
 
 namespace accordion {
 namespace {
@@ -143,8 +146,10 @@ TEST(SpillFileTest, TruncatedFrameIsTypedIoError) {
 // --- grace-spill join at the bridge level ------------------------------------
 
 struct BridgeEnv {
-  explicit BridgeEnv(int64_t build_budget_bytes) {
+  explicit BridgeEnv(int64_t build_budget_bytes,
+                     int64_t spill_chunk_bytes = 1 << 20) {
     config.memory.query_build_bytes = build_budget_bytes;
+    config.memory.spill_chunk_bytes = spill_chunk_bytes;
     Status s = config.Normalize();
     EXPECT_TRUE(s.ok()) << s.ToString();
     ctx = std::make_unique<TaskContext>("spill-test", &config);
@@ -332,6 +337,197 @@ TEST(GraceSpillJoinTest, NoProbePagesDrainsEmpty) {
   auto next = bridge.NextSpilledPage({0}, {1});
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next.value(), nullptr);
+}
+
+// --- every join variant on every bridge path ---------------------------------
+
+// Build pages are [bkey, bpay, bname] and probe pages [ppay, pkey]: the probe
+// key is not channel 0, and the build output carries a string column.
+constexpr int64_t kNullKey = -1;
+constexpr int64_t kHotKey = 7;
+constexpr int64_t kSidePageRows = 64;
+
+// `n` keys: NULL with `null_pct`% odds, the hot key with `hot_pct`%, else
+// uniform in [lo, hi].
+std::vector<int64_t> SideKeys(Random* rng, int64_t n, int64_t lo, int64_t hi,
+                              int null_pct, int hot_pct) {
+  std::vector<int64_t> keys;
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t dice = rng->NextInt(0, 99);
+    keys.push_back(dice < null_pct             ? kNullKey
+                   : dice < null_pct + hot_pct ? kHotKey
+                                               : rng->NextInt(lo, hi));
+  }
+  return keys;
+}
+
+std::vector<PagePtr> SidePages(const std::vector<int64_t>& keys, bool build) {
+  std::vector<PagePtr> pages;
+  for (size_t base = 0; base < keys.size(); base += kSidePageRows) {
+    Column key(DataType::kInt64), pay(DataType::kInt64),
+        name(DataType::kString);
+    const size_t end = std::min(keys.size(), base + kSidePageRows);
+    for (size_t r = base; r < end; ++r) {
+      if (keys[r] == kNullKey) {
+        key.AppendNull();
+      } else {
+        key.AppendInt(keys[r]);
+      }
+      pay.AppendInt(build ? static_cast<int64_t>(r) : -static_cast<int64_t>(r));
+      name.AppendStr("b" + std::to_string(r));
+    }
+    pages.push_back(build ? Page::Make({std::move(key), std::move(pay),
+                                        std::move(name)})
+                          : Page::Make({std::move(pay), std::move(key)}));
+  }
+  return pages;
+}
+
+struct JoinShape {
+  const char* name;
+  std::vector<PagePtr> build;
+  std::vector<PagePtr> probe;
+  int64_t one_chunk_budget;  // spills, yet every partition fits one chunk
+};
+
+std::vector<JoinShape> MatrixShapes() {
+  Random rng(27);
+  std::vector<JoinShape> shapes;
+  // Overlapping key ranges; NULL keys on both sides.
+  shapes.push_back({"overlap",
+                    SidePages(SideKeys(&rng, 600, 0, 63, 5, 30), true),
+                    SidePages(SideKeys(&rng, 500, 32, 95, 5, 3), false),
+                    12 << 10});
+  // Four build keys: most partitions have an empty build side. No NULL
+  // build key, so NOT IN keeps its non-NULL misses.
+  shapes.push_back({"few build keys",
+                    SidePages(SideKeys(&rng, 300, 1, 3, 0, 25), true),
+                    SidePages(SideKeys(&rng, 500, 0, 199, 10, 5), false),
+                    6 << 10});
+  // Four probe keys: most partitions have an empty probe side.
+  shapes.push_back({"few probe keys",
+                    SidePages(SideKeys(&rng, 600, 0, 199, 5, 20), true),
+                    SidePages(SideKeys(&rng, 300, 1, 2, 10, 10), false),
+                    12 << 10});
+  shapes.push_back({"no probe rows",
+                    SidePages(SideKeys(&rng, 400, 0, 99, 5, 10), true),
+                    {},
+                    8 << 10});
+  // Nothing to spill: every budget runs in memory.
+  shapes.push_back({"no build rows",
+                    {},
+                    SidePages(SideKeys(&rng, 300, 0, 49, 10, 5), false),
+                    8 << 10});
+  return shapes;
+}
+
+// The scalar oracle's answer: a nested-loop join of the same shape.
+RefRelation OracleJoin(const JoinShape& shape, JoinType type) {
+  PlanBuilder b(nullptr);
+  PlanBuilder::Rel probe = b.Values(
+      shape.probe, {DataType::kInt64, DataType::kInt64}, {"ppay", "pkey"});
+  PlanBuilder::Rel build = b.Values(
+      shape.build, {DataType::kInt64, DataType::kInt64, DataType::kString},
+      {"bkey", "bpay", "bname"});
+  std::vector<std::string> build_output;
+  if (JoinEmitsBuildColumns(type)) build_output = {"bpay", "bname"};
+  PlanBuilder::Rel join = b.Join(probe, build, {"pkey"}, {"bkey"},
+                                 build_output, /*broadcast=*/false, type);
+  return ReferenceEvaluate(join.node, /*scale_factor=*/0);
+}
+
+// Pulls `op`'s output; once it is finishing, until its end page.
+void PullOutput(Operator* op, std::vector<PagePtr>* out) {
+  const bool finishing = op->state() != OperatorState::kRunning;
+  for (int spins = 0; spins < 1000000; ++spins) {
+    PagePtr page = op->GetOutput();
+    if (page == nullptr) {
+      if (!finishing) return;
+      continue;
+    }
+    if (page->IsEnd()) return;
+    out->push_back(std::move(page));
+  }
+  ADD_FAILURE() << op->Name() << " never emitted its end page";
+}
+
+// Runs the join through two build and two probe operators that take the
+// pages alternately; the second probe operator retires last and drains.
+std::vector<PagePtr> RunOperatorJoin(TaskContext* ctx, const JoinShape& shape,
+                                     JoinType type) {
+  std::vector<int> build_output;
+  if (JoinEmitsBuildColumns(type)) build_output = {1, 2};
+  JoinBridge bridge({DataType::kInt64, DataType::kInt64, DataType::kString},
+                    {0}, ctx, type, {DataType::kInt64, DataType::kInt64});
+  OperatorFactoryPtr build_factory = MakeHashBuildFactory(&bridge);
+  OperatorFactoryPtr probe_factory =
+      MakeLookupJoinFactory(&bridge, {1}, build_output, type);
+  OperatorPtr builds[2] = {build_factory->Create(ctx, 0),
+                           build_factory->Create(ctx, 1)};
+  OperatorPtr probes[2] = {probe_factory->Create(ctx, 0),
+                           probe_factory->Create(ctx, 1)};
+  std::vector<PagePtr> out;
+  for (size_t i = 0; i < shape.build.size(); ++i) {
+    builds[i % 2]->AddInput(shape.build[i]);
+  }
+  for (OperatorPtr& op : builds) {
+    op->Finish();
+    PullOutput(op.get(), &out);
+  }
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(bridge.built());
+  for (size_t i = 0; i < shape.probe.size(); ++i) {
+    Operator* op = probes[i % 2].get();
+    EXPECT_TRUE(op->NeedsInput());
+    op->AddInput(shape.probe[i]);
+    PullOutput(op, &out);
+  }
+  for (OperatorPtr& op : probes) {
+    op->Finish();
+    PullOutput(op.get(), &out);
+    EXPECT_TRUE(op->IsFinished());
+  }
+  return out;
+}
+
+TEST(JoinVariantMatrixTest, EveryVariantMatchesOracleOnEveryPath) {
+  const JoinType kTypes[] = {JoinType::kInner,    JoinType::kLeft,
+                             JoinType::kRight,    JoinType::kFull,
+                             JoinType::kLeftSemi, JoinType::kLeftAnti,
+                             JoinType::kNullAwareAnti};
+  constexpr int64_t kPartitions = int64_t{1} << JoinBridge::kSpillPartitionBits;
+  for (const JoinShape& shape : MatrixShapes()) {
+    for (JoinType type : kTypes) {
+      const RefRelation expected = OracleJoin(shape, type);
+      // In memory; spilled with one build chunk per partition; and a budget
+      // so small that partitions repartition and the hot key's partition
+      // falls back to chunked probing.
+      for (int64_t budget : {int64_t{0}, shape.one_chunk_budget,
+                             int64_t{1} << 10}) {
+        SCOPED_TRACE(std::string(shape.name) + ", " + JoinTypeName(type) +
+                     ", budget " + std::to_string(budget));
+        BridgeEnv env(budget, /*spill_chunk_bytes=*/1 << 10);
+        const std::vector<PagePtr> got =
+            RunOperatorJoin(env.ctx.get(), shape, type);
+        EXPECT_FALSE(env.ctx->failed()) << env.ctx->failure().ToString();
+        EXPECT_EQ(DiffRows(expected, got), "");
+        for (const PagePtr& page : got) {
+          EXPECT_LE(page->num_rows(), env.config.batch_rows * 4);
+        }
+        // Level 0 opens a file per partition and side; each repartition
+        // adds one more partition set. Without probe rows no pair joins.
+        const int64_t partitions = env.ctx->spill_partitions();
+        const int64_t level0 = kPartitions * (shape.probe.empty() ? 1 : 2);
+        if (budget == 0 || shape.build.empty()) {
+          EXPECT_EQ(partitions, 0);
+        } else if (budget == shape.one_chunk_budget || shape.probe.empty()) {
+          EXPECT_EQ(partitions, level0);
+        } else {
+          EXPECT_GT(partitions, level0);
+        }
+      }
+    }
+  }
 }
 
 // --- large in-memory build ---------------------------------------------------
