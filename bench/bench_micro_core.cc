@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <deque>
 #include <string>
 #include <vector>
 #include <numeric>
@@ -88,15 +89,18 @@ void BM_JoinBridgeBuildProbe(benchmark::State& state) {
   PagePtr build = MakeBenchPage(state.range(0));
   PagePtr probe = MakeBenchPage(4096);
   for (auto _ : state) {
-    JoinBridge bridge({DataType::kInt64, DataType::kDouble, DataType::kString},
+    JoinBridge bridge(JoinType::kInner,
+                      {DataType::kInt64, DataType::kDouble, DataType::kString},
+                      {0}, {1, 2},
+                      {DataType::kInt64, DataType::kDouble, DataType::kString},
                       {0});
     bridge.AddBuildDriver();
     bridge.AddBuildPage(build);
     bridge.BuildDriverFinished();
-    std::vector<int32_t> probe_rows;
-    std::vector<int64_t> build_rows;
-    bridge.Probe(*probe, {0}, &probe_rows, &build_rows);
-    benchmark::DoNotOptimize(probe_rows);
+    JoinBridge::ProbeScratch scratch;
+    std::deque<PagePtr> out;
+    bridge.Probe(probe, &scratch, &out);
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * (state.range(0) + 4096));
 }
@@ -183,7 +187,9 @@ void BM_JoinBuildSweep(benchmark::State& state) {
   EngineConfig config;
   TaskContext ctx("bench", &config);
   for (auto _ : state) {
-    JoinBridge bridge({DataType::kInt64, DataType::kDouble}, {0}, &ctx);
+    JoinBridge bridge(JoinType::kInner, {DataType::kInt64, DataType::kDouble},
+                      {0}, {1}, {DataType::kInt64, DataType::kDouble}, {0},
+                      &ctx);
     bridge.AddBuildDriver();
     for (const auto& page : build_pages) {
       if (!bridge.AddBuildPage(page).ok()) {

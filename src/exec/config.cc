@@ -44,17 +44,8 @@ Status EngineConfig::Normalize() {
 
   const std::pair<const char*, double> non_negative[] = {
       {"cost.scan_us", cost.scan_us},
-      {"cost.filter_us", cost.filter_us},
-      {"cost.project_us", cost.project_us},
       {"cost.hash_build_us", cost.hash_build_us},
       {"cost.probe_us", cost.probe_us},
-      {"cost.probe_output_us", cost.probe_output_us},
-      {"cost.partial_agg_us", cost.partial_agg_us},
-      {"cost.final_agg_us", cost.final_agg_us},
-      {"cost.topn_us", cost.topn_us},
-      {"cost.exchange_us", cost.exchange_us},
-      {"cost.local_exchange_us", cost.local_exchange_us},
-      {"cost.task_output_us", cost.task_output_us},
       {"cost.shuffle_executor_us", cost.shuffle_executor_us},
       {"cost.scale", cost.scale},
       {"rpc_latency_ms", rpc_latency_ms},

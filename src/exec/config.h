@@ -57,19 +57,20 @@ struct MemoryConfig {
 /// is ignored). All values must be >= 0.
 struct CostModel {
   double scan_us = 30;
-  double filter_us = 4;
-  double project_us = 4;
   double hash_build_us = 25;
   double probe_us = 25;
-  double probe_output_us = 5;
-  double partial_agg_us = 15;
-  double final_agg_us = 15;
-  double topn_us = 10;
-  double exchange_us = 2;
-  double local_exchange_us = 1;
-  double task_output_us = 8;
   double shuffle_executor_us = 6;
   double scale = 1.0;
+
+  // Per-row costs of the operators no experiment re-weights.
+  static constexpr double kFilterUs = 4;
+  static constexpr double kProjectUs = 4;
+  static constexpr double kPartialAggUs = 15;
+  static constexpr double kFinalAggUs = 15;
+  static constexpr double kTopNUs = 10;
+  static constexpr double kExchangeUs = 2;
+  static constexpr double kLocalExchangeUs = 1;
+  static constexpr double kTaskOutputUs = 8;
 };
 
 /// Engine-wide tunables shared by tasks, buffers and the simulated

@@ -48,17 +48,34 @@ bool RowHasNullKey(const Page& page, const std::vector<int>& keys,
 
 }  // namespace
 
-JoinBridge::JoinBridge(std::vector<DataType> build_types,
-                       std::vector<int> build_keys, TaskContext* task_ctx,
-                       JoinType join_type, std::vector<DataType> probe_types)
-    : build_types_(std::move(build_types)),
-      build_keys_(std::move(build_keys)),
-      task_ctx_(task_ctx),
-      join_type_(join_type),
-      probe_types_(std::move(probe_types)) {
-  data_.reserve(build_types_.size());
-  for (DataType t : build_types_) data_.emplace_back(t);
+void JoinBridge::BuiltSide::Mark(const std::vector<int64_t>& rows) const {
+  std::atomic<uint64_t>* bits = matched.get();
+  if (bits == nullptr) return;
+  for (int64_t row : rows) {
+    const uint64_t r = static_cast<uint64_t>(row);
+    bits[r >> 6].fetch_or(uint64_t{1} << (r & 63), std::memory_order_relaxed);
+  }
 }
+
+bool JoinBridge::BuiltSide::Matched(int64_t row) const {
+  const uint64_t r = static_cast<uint64_t>(row);
+  return (matched[r >> 6].load(std::memory_order_relaxed) >> (r & 63)) & 1;
+}
+
+JoinBridge::JoinBridge(JoinType join_type, std::vector<DataType> build_types,
+                       std::vector<int> build_keys,
+                       std::vector<int> build_output_channels,
+                       std::vector<DataType> probe_types,
+                       std::vector<int> probe_keys, TaskContext* task_ctx)
+    : join_type_(join_type),
+      build_types_(std::move(build_types)),
+      build_keys_(std::move(build_keys)),
+      build_output_channels_(std::move(build_output_channels)),
+      probe_types_(std::move(probe_types)),
+      probe_keys_(std::move(probe_keys)),
+      task_ctx_(task_ctx),
+      emit_rows_(ConfigOf(task_ctx).batch_rows * 4),
+      side_(NewSide()) {}
 
 JoinBridge::~JoinBridge() {
   // Return everything this bridge reported to the task accountant (index
@@ -96,14 +113,6 @@ void JoinBridge::NoteBuildNullKeys(const Page& page) {
   }
 }
 
-void JoinBridge::MarkBuildRows(const int64_t* rows, int64_t count) {
-  std::atomic<uint64_t>* bits = build_matched_bits_.get();
-  for (int64_t k = 0; k < count; ++k) {
-    const uint64_t r = static_cast<uint64_t>(rows[k]);
-    bits[r >> 6].fetch_or(uint64_t{1} << (r & 63), std::memory_order_relaxed);
-  }
-}
-
 Status JoinBridge::WriteSpill(SpillFile* file, const Page& page) {
   const int64_t before = file->bytes_written();
   Status s = file->Append(page);
@@ -133,7 +142,7 @@ Status JoinBridge::AddBuildPage(const PagePtr& page) {
     return s;
   }
   for (int c = 0; c < page->num_columns(); ++c) {
-    data_[c].AppendRange(page->column(c), 0, page->num_rows());
+    side_->cols[c].AppendRange(page->column(c), 0, page->num_rows());
   }
   TrackBuildBytes(page->ByteSize());
   const int64_t budget = budget_bytes();
@@ -150,18 +159,19 @@ Status JoinBridge::AddBuildPage(const PagePtr& page) {
 Status JoinBridge::StartSpillLocked() {
   spilled_.store(true);
   radix_ = std::make_unique<RadixPartitioner>(kSpillPartitionBits);
-  const int64_t rows = data_.empty() ? 0 : data_[0].size();
+  const int64_t rows = side_->num_rows();
   std::vector<const Column*> keys;
   keys.reserve(build_keys_.size());
-  for (int ch : build_keys_) keys.push_back(&data_[ch]);
+  for (int ch : build_keys_) keys.push_back(&side_->cols[ch]);
   std::vector<uint64_t> hashes;
   HashKeys(keys, rows, &hashes);
   std::vector<std::vector<int32_t>> selections;
   radix_->BuildSelections(hashes.data(), rows, &selections);
   // Scatter everything accumulated so far; from here on the build side is
-  // pure grace — later pages go straight to partition files too.
-  PagePtr accumulated = Page::Make(std::move(data_));
-  data_.clear();
+  // pure grace — later pages go straight to partition files too, and
+  // side_ holds the drain's build chunks.
+  PagePtr accumulated = Page::Make(std::move(side_->cols));
+  side_.reset();
   Status s = StageRowsLocked(&build_stages_, &build_files_, "build",
                              *accumulated, selections);
   // The accumulated rows now live on disk (or in bounded staging buffers);
@@ -243,16 +253,7 @@ bool JoinBridge::BuildDriverFinished() {
       status = FinishSpillBuildLocked();
       if (!status.ok()) spill_status_ = status;
     } else {
-      const int64_t rows = data_.empty() ? 0 : data_[0].size();
-      BuildIndexLocked();
-      if (needs_build_drain() && rows > 0) {
-        const int64_t words = (rows + 63) / 64;
-        build_matched_bits_.reset(new std::atomic<uint64_t>[words]);
-        for (int64_t w = 0; w < words; ++w) {
-          build_matched_bits_[w].store(0, std::memory_order_relaxed);
-        }
-        TrackBuildBytes(words * 8);
-      }
+      TrackBuildBytes(IndexSide(side_.get()));
     }
   }
   build_index_us_ = sw.ElapsedMicros();
@@ -267,21 +268,36 @@ ParkState JoinBridge::ParkUntilBuilt(const Waiter& waiter) {
   return built() ? ParkState::kReady : ParkState::kParked;
 }
 
-void JoinBridge::BuildIndexLocked() {
-  const int64_t rows = data_.empty() ? 0 : data_[0].size();
-  index_ = std::make_unique<PartitionIndex>(
+std::unique_ptr<JoinBridge::BuiltSide> JoinBridge::NewSide() const {
+  auto side = std::make_unique<BuiltSide>(
       HashTable::SelectKeyTypes(build_types_, build_keys_));
+  side->cols.reserve(build_types_.size());
+  for (DataType t : build_types_) side->cols.emplace_back(t);
+  return side;
+}
+
+int64_t JoinBridge::IndexSide(BuiltSide* side) const {
+  const int64_t rows = side->num_rows();
   std::vector<const Column*> keys;
   keys.reserve(build_keys_.size());
-  for (int key : build_keys_) keys.push_back(&data_[key]);
+  for (int key : build_keys_) keys.push_back(&side->cols[key]);
   std::vector<int64_t> ids;
-  index_->table.Reserve(rows);  // skip the doubling/rehash ladder
-  index_->table.LookupOrInsert(keys, rows, &ids);
-  BuildCsr(ids, index_->table.size(), &index_->offsets, &index_->rows);
-  TrackBuildBytes(index_->table.ByteSize() +
-                  static_cast<int64_t>(index_->offsets.size() +
-                                       index_->rows.size()) *
-                      8);
+  side->table.Reserve(rows);  // skip the doubling/rehash ladder
+  side->table.LookupOrInsert(keys, rows, &ids);
+  BuildCsr(ids, side->table.size(), &side->offsets, &side->rows);
+  int64_t bytes = side->table.ByteSize() +
+                  static_cast<int64_t>(side->offsets.size() +
+                                       side->rows.size()) *
+                      8;
+  if (JoinEmitsUnmatchedBuild(join_type_) && rows > 0) {
+    const int64_t words = (rows + 63) / 64;
+    side->matched.reset(new std::atomic<uint64_t>[words]);
+    for (int64_t w = 0; w < words; ++w) {
+      side->matched[w].store(0, std::memory_order_relaxed);
+    }
+    bytes += words * 8;
+  }
+  return bytes;
 }
 
 Status JoinBridge::FinishSpillBuildLocked() {
@@ -301,54 +317,50 @@ int64_t JoinBridge::build_rows() const {
   return total_build_rows_;
 }
 
-Status JoinBridge::Probe(const Page& probe, const std::vector<int>& probe_keys,
-                         std::vector<int32_t>* probe_rows,
-                         std::vector<int64_t>* build_rows) {
+Status JoinBridge::Probe(const PagePtr& page, ProbeScratch* scratch,
+                         std::deque<PagePtr>* out) {
   ACC_CHECK(built_.load()) << "probe before hash table built";
   // The in-memory index is immutable once built_ is set, so the probe
   // runs lock-free and concurrently.
   if (!spilled_.load()) {
-    const size_t pairs_before = build_rows->size();
-    index_->table.FindJoinBatch(probe, probe_keys, index_->offsets.data(),
-                                index_->rows.data(), probe_rows, build_rows);
-    if (build_matched_bits_ != nullptr) {
-      MarkBuildRows(build_rows->data() + pairs_before,
-                    static_cast<int64_t>(build_rows->size() - pairs_before));
+    scratch->probe_rows.clear();
+    scratch->build_rows.clear();
+    side_->table.FindJoinBatch(*page, probe_keys_, side_->offsets.data(),
+                               side_->rows.data(), &scratch->probe_rows,
+                               &scratch->build_rows);
+    side_->Mark(scratch->build_rows);
+    if (JoinEmitsBuildColumns(join_type_)) {
+      const int64_t pairs = static_cast<int64_t>(scratch->probe_rows.size());
+      for (int64_t off = 0; off < pairs;) {
+        out->push_back(EmitPairs(*page, *side_, scratch->probe_rows,
+                                 scratch->build_rows, &off));
+      }
+    }
+    if (tracks_probe_matches()) {
+      scratch->matched.assign(static_cast<size_t>(page->num_rows()), 0);
+      for (int32_t r : scratch->probe_rows) scratch->matched[r] = 1;
+      PagePtr rows = EmitProbeRows(page, scratch->matched.data());
+      if (rows != nullptr) out->push_back(std::move(rows));
     }
     return Status::OK();
   }
-  // Spill mode: scatter the probe page to partition files; matches stream
-  // later from NextSpilledPage.
+  // Spill mode: scatter the probe page to partition files; its output
+  // streams later from NextSpilledPage.
   std::lock_guard<std::mutex> lock(mutex_);
   if (!spill_status_.ok()) return spill_status_;
-  const int64_t n = probe.num_rows();
+  const int64_t n = page->num_rows();
   if (n == 0) return Status::OK();
   std::vector<const Column*> keys;
-  keys.reserve(probe_keys.size());
-  for (int ch : probe_keys) keys.push_back(&probe.column(ch));
+  keys.reserve(probe_keys_.size());
+  for (int ch : probe_keys_) keys.push_back(&page->column(ch));
   std::vector<uint64_t> hashes;
   HashKeys(keys, n, &hashes);
   std::vector<std::vector<int32_t>> selections;
   radix_->BuildSelections(hashes.data(), n, &selections);
-  Status s =
-      StageRowsLocked(&probe_stages_, &probe_files_, "probe", probe, selections);
+  Status s = StageRowsLocked(&probe_stages_, &probe_files_, "probe", *page,
+                             selections);
   if (!s.ok()) spill_status_ = s;
   return s;
-}
-
-Column JoinBridge::GatherBuild(int channel,
-                               const std::vector<int64_t>& rows) const {
-  return GatherBuild(channel, rows.data(), static_cast<int64_t>(rows.size()));
-}
-
-Column JoinBridge::GatherBuild(int channel, const int64_t* rows,
-                               int64_t count) const {
-  return data_[channel].Gather(rows, count);
-}
-
-Column JoinBridge::GatherBuildNullable(int channel, const int64_t* rows,
-                                       int64_t count) const {
-  return data_[channel].GatherNullable(rows, count);
 }
 
 bool JoinBridge::ProbeDriverFinished() {
@@ -356,7 +368,7 @@ bool JoinBridge::ProbeDriverFinished() {
   ACC_CHECK(remaining >= 0) << "probe driver underflow";
   if (remaining > 0) return false;
   // In-memory right/full joins still owe their unmatched build rows.
-  if (!spilled_.load()) return needs_build_drain();
+  if (!spilled_.load()) return JoinEmitsUnmatchedBuild(join_type_);
   // Last probe driver becomes the drainer: seal the probe files and queue
   // the level-0 partition pairs. Errors surface from NextSpilledPage.
   std::lock_guard<std::mutex> lock(mutex_);
@@ -383,324 +395,202 @@ bool JoinBridge::ProbeDriverFinished() {
   return true;
 }
 
-PagePtr JoinBridge::NextUnmatchedBuildPage(
-    const std::vector<int>& build_output_channels) {
-  ACC_CHECK(!probe_types_.empty())
-      << "right/full join bridge needs probe types for null padding";
-  const int64_t total = data_.empty() ? 0 : data_[0].size();
-  const int64_t chunk = ConfigOf(task_ctx_).batch_rows * 4;
-  std::vector<int64_t> rows;
-  rows.reserve(static_cast<size_t>(chunk));
-  const std::atomic<uint64_t>* bits = build_matched_bits_.get();
-  while (unmatched_cursor_ < total &&
-         static_cast<int64_t>(rows.size()) < chunk) {
-    const uint64_t r = static_cast<uint64_t>(unmatched_cursor_++);
-    if (bits != nullptr &&
-        (bits[r >> 6].load(std::memory_order_relaxed) >> (r & 63)) & 1) {
-      continue;
-    }
-    rows.push_back(static_cast<int64_t>(r));
-  }
-  if (rows.empty()) return nullptr;
-  const int64_t n = static_cast<int64_t>(rows.size());
+PagePtr JoinBridge::EmitPairs(const Page& probe, const BuiltSide& side,
+                              const std::vector<int32_t>& probe_rows,
+                              const std::vector<int64_t>& build_rows,
+                              int64_t* offset) const {
+  const int64_t off = *offset;
+  const int64_t count =
+      std::min(emit_rows_, static_cast<int64_t>(probe_rows.size()) - off);
   std::vector<Column> cols;
-  cols.reserve(probe_types_.size() + build_output_channels.size());
-  for (DataType t : probe_types_) cols.push_back(NullColumn(t, n));
-  for (int ch : build_output_channels) {
-    cols.push_back(data_[ch].Gather(rows.data(), n));
+  cols.reserve(probe.num_columns() + build_output_channels_.size());
+  for (int c = 0; c < probe.num_columns(); ++c) {
+    cols.push_back(probe.column(c).Gather(probe_rows.data() + off, count));
+  }
+  for (int ch : build_output_channels_) {
+    cols.push_back(side.cols[ch].Gather(build_rows.data() + off, count));
+  }
+  *offset = off + count;
+  return Page::Make(std::move(cols));
+}
+
+PagePtr JoinBridge::EmitProbeRows(const PagePtr& probe,
+                                  const uint8_t* matched) const {
+  const int64_t n = probe->num_rows();
+  std::vector<int32_t> sel;
+  switch (join_type_) {
+    case JoinType::kInner:
+    case JoinType::kRight:
+      return nullptr;
+    case JoinType::kLeftSemi:
+      for (int64_t r = 0; r < n; ++r) {
+        if (matched[r] != 0) sel.push_back(static_cast<int32_t>(r));
+      }
+      break;
+    case JoinType::kLeft:
+    case JoinType::kFull:
+    case JoinType::kLeftAnti:
+      // A NULL-keyed probe row never matches, so it is emitted here (NOT
+      // EXISTS semantics for the plain anti join).
+      for (int64_t r = 0; r < n; ++r) {
+        if (matched[r] == 0) sel.push_back(static_cast<int32_t>(r));
+      }
+      break;
+    case JoinType::kNullAwareAnti:
+      // NOT IN: any NULL in the build set makes every miss compare to
+      // NULL, so nothing qualifies. An empty build set means NOT IN (),
+      // TRUE for every row, NULL-keyed ones included; otherwise a NULL
+      // probe key compares to NULL.
+      if (build_has_null_key_) return nullptr;
+      for (int64_t r = 0; r < n; ++r) {
+        if (matched[r] != 0) continue;
+        if (total_build_rows_ > 0 && RowHasNullKey(*probe, probe_keys_, r)) {
+          continue;
+        }
+        sel.push_back(static_cast<int32_t>(r));
+      }
+      break;
+  }
+  if (sel.empty()) return nullptr;
+  if (!JoinEmitsBuildColumns(join_type_)) {
+    return static_cast<int64_t>(sel.size()) == n ? probe : probe->Select(sel);
+  }
+  // Left/full: the unmatched probe rows with NULL build columns.
+  const int64_t count = static_cast<int64_t>(sel.size());
+  std::vector<Column> cols;
+  cols.reserve(probe->num_columns() + build_output_channels_.size());
+  for (int c = 0; c < probe->num_columns(); ++c) {
+    cols.push_back(probe->column(c).Gather(sel));
+  }
+  for (int ch : build_output_channels_) {
+    cols.push_back(NullColumn(build_types_[ch], count));
   }
   return Page::Make(std::move(cols));
 }
 
-void JoinBridge::EmitFinalProbePage(
-    const Page& page, const std::vector<uint8_t>& flags,
-    const std::vector<int>& probe_keys,
-    const std::vector<int>& build_output_channels) {
-  const int64_t n = page.num_rows();
-  switch (join_type_) {
-    case JoinType::kInner:
-    case JoinType::kRight:
-      return;
-    case JoinType::kLeft:
-    case JoinType::kFull: {
-      std::vector<int32_t> sel;
-      for (int64_t r = 0; r < n; ++r) {
-        if (flags[r] == 0) sel.push_back(static_cast<int32_t>(r));
-      }
-      if (sel.empty()) return;
-      std::vector<Column> cols;
-      cols.reserve(page.num_columns() + build_output_channels.size());
-      for (int c = 0; c < page.num_columns(); ++c) {
-        cols.push_back(page.column(c).Gather(sel));
-      }
-      const int64_t count = static_cast<int64_t>(sel.size());
-      for (int ch : build_output_channels) {
-        cols.push_back(NullColumn(build_types_[ch], count));
-      }
-      drain_ready_.push_back(Page::Make(std::move(cols)));
-      return;
-    }
-    case JoinType::kLeftSemi:
-    case JoinType::kLeftAnti:
-    case JoinType::kNullAwareAnti: {
-      // NOT IN against a build set with any NULL key compares to NULL for
-      // every miss — nothing qualifies (the whole drain short-circuits).
-      if (join_type_ == JoinType::kNullAwareAnti && build_has_null_key_) {
-        return;
-      }
-      const bool want_matched = join_type_ == JoinType::kLeftSemi;
-      std::vector<int32_t> sel;
-      for (int64_t r = 0; r < n; ++r) {
-        if ((flags[r] != 0) != want_matched) continue;
-        if (join_type_ == JoinType::kNullAwareAnti &&
-            RowHasNullKey(page, probe_keys, r)) {
-          continue;  // NULL NOT IN (non-empty set) is NULL, not TRUE
-        }
-        sel.push_back(static_cast<int32_t>(r));
-      }
-      if (sel.empty()) return;
-      drain_ready_.push_back(page.Select(sel));
-      return;
-    }
-    case JoinType::kMark: {
-      std::vector<Column> cols;
-      cols.reserve(page.num_columns() + 1);
-      for (int c = 0; c < page.num_columns(); ++c) {
-        cols.push_back(Column(page.column(c)));
-      }
-      Column mark(DataType::kBool);
-      mark.Reserve(n);
-      for (int64_t r = 0; r < n; ++r) {
-        if (flags[r] != 0) {
-          mark.AppendInt(1);
-        } else if (build_has_null_key_ ||
-                   RowHasNullKey(page, probe_keys, r)) {
-          mark.AppendNull();  // miss with a NULL on either side: unknown
-        } else {
-          mark.AppendInt(0);
-        }
-      }
-      cols.push_back(std::move(mark));
-      drain_ready_.push_back(Page::Make(std::move(cols)));
-      return;
-    }
+PagePtr JoinBridge::EmitUnmatchedBuild(const BuiltSide& side,
+                                       int64_t* cursor) const {
+  const int64_t total = side.num_rows();
+  std::vector<int64_t> rows;
+  while (*cursor < total && static_cast<int64_t>(rows.size()) < emit_rows_) {
+    const int64_t r = (*cursor)++;
+    if (!side.Matched(r)) rows.push_back(r);
   }
+  if (rows.empty()) return nullptr;
+  const int64_t n = static_cast<int64_t>(rows.size());
+  std::vector<Column> cols;
+  cols.reserve(probe_types_.size() + build_output_channels_.size());
+  for (DataType t : probe_types_) cols.push_back(NullColumn(t, n));
+  for (int ch : build_output_channels_) {
+    cols.push_back(side.cols[ch].Gather(rows.data(), n));
+  }
+  return Page::Make(std::move(cols));
 }
 
-void JoinBridge::EmitUnmatchedChunkRows(
-    const std::vector<int>& build_output_channels) {
-  ACC_CHECK(!probe_types_.empty())
-      << "right/full join bridge needs probe types for null padding";
-  const int64_t rows = chunk_cols_.empty() ? 0 : chunk_cols_[0].size();
-  const int64_t chunk = ConfigOf(task_ctx_).batch_rows * 4;
-  std::vector<int64_t> sel;
-  for (int64_t r = 0; r < rows; ++r) {
-    if (chunk_matched_[r] != 0) continue;
-    sel.push_back(r);
-    if (static_cast<int64_t>(sel.size()) == chunk || r == rows - 1) {
-      const int64_t n = static_cast<int64_t>(sel.size());
-      std::vector<Column> cols;
-      cols.reserve(probe_types_.size() + build_output_channels.size());
-      for (DataType t : probe_types_) cols.push_back(NullColumn(t, n));
-      for (int ch : build_output_channels) {
-        cols.push_back(chunk_cols_[ch].Gather(sel.data(), n));
-      }
-      drain_ready_.push_back(Page::Make(std::move(cols)));
-      sel.clear();
-    }
-  }
-  if (!sel.empty()) {
-    const int64_t n = static_cast<int64_t>(sel.size());
-    std::vector<Column> cols;
-    cols.reserve(probe_types_.size() + build_output_channels.size());
-    for (DataType t : probe_types_) cols.push_back(NullColumn(t, n));
-    for (int ch : build_output_channels) {
-      cols.push_back(chunk_cols_[ch].Gather(sel.data(), n));
-    }
-    drain_ready_.push_back(Page::Make(std::move(cols)));
-  }
-}
-
-PagePtr JoinBridge::StreamSidePage(
-    const Page& page, bool build_side, const std::vector<int>& probe_keys,
-    const std::vector<int>& build_output_channels) {
-  const int64_t n = page.num_rows();
-  if (build_side) {
-    // Probe side of this partition empty: every build row is unmatched
-    // (right/full only reach here).
-    ACC_CHECK(!probe_types_.empty())
-        << "right/full join bridge needs probe types for null padding";
-    std::vector<Column> cols;
-    cols.reserve(probe_types_.size() + build_output_channels.size());
-    for (DataType t : probe_types_) cols.push_back(NullColumn(t, n));
-    for (int ch : build_output_channels) {
-      cols.push_back(Column(page.column(ch)));
-    }
-    return Page::Make(std::move(cols));
-  }
-  // Build side of this partition empty: every probe row is unmatched.
-  std::vector<uint8_t> flags(static_cast<size_t>(n), 0);
-  const size_t ready_before = drain_ready_.size();
-  EmitFinalProbePage(page, flags, probe_keys, build_output_channels);
-  if (drain_ready_.size() == ready_before) return nullptr;
-  PagePtr out = std::move(drain_ready_.back());
-  drain_ready_.pop_back();
-  return out;
-}
-
-Result<PagePtr> JoinBridge::NextSpilledPage(
-    const std::vector<int>& probe_keys,
-    const std::vector<int>& build_output_channels) {
+Result<PagePtr> JoinBridge::NextSpilledPage() {
   if (!spilled_.load()) {
     // In-memory right/full drain: only the unmatched build rows remain.
-    ACC_CHECK(needs_build_drain()) << "drain on an in-memory inner-side join";
-    return NextUnmatchedBuildPage(build_output_channels);
+    ACC_CHECK(JoinEmitsUnmatchedBuild(join_type_))
+        << "drain on an in-memory inner-side join";
+    return EmitUnmatchedBuild(*side_, &unmatched_cursor_);
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!spill_status_.ok()) return spill_status_;
   }
   while (true) {
-    // 0. Serve variant pages produced while pair-joining.
-    if (!drain_ready_.empty()) {
-      PagePtr out = std::move(drain_ready_.front());
-      drain_ready_.pop_front();
-      return out;
-    }
-    // 1. Emit pending matches of the current probe page in bounded chunks.
+    // 1. Output owed for the last probe page read: its match pairs in
+    //    bounded pages, then its probe-side rows.
     if (drain_probe_page_ != nullptr) {
       if (emit_offset_ < static_cast<int64_t>(match_probe_.size())) {
-        return DrainEmit(*drain_probe_page_, build_output_channels);
+        return EmitPairs(*drain_probe_page_, *side_, match_probe_,
+                         match_build_, &emit_offset_);
       }
       drain_probe_page_ = nullptr;
     }
-    // 2. Stream a single-sided partition pair (the other side empty).
-    if (stream_active_) {
-      SpillFile* src =
-          stream_build_side_ ? stream_pair_.build.get() : stream_pair_.probe.get();
-      Result<PagePtr> next = src->Next();
-      if (!next.ok()) return next.status();
-      PagePtr page = std::move(next).value();
-      if (page == nullptr) {
-        stream_active_ = false;
-        stream_pair_ = SpillPair();
-        continue;
-      }
-      PagePtr out = StreamSidePage(*page, stream_build_side_, probe_keys,
-                                   build_output_channels);
-      if (out == nullptr) continue;
-      return out;
-    }
-    // 3. Advance within the active partition pair.
+    if (drain_probe_rows_ != nullptr) return std::move(drain_probe_rows_);
+    // 2. Advance within the active partition pair.
     if (drain_active_) {
-      Result<PagePtr> next = drain_pair_.probe->Next();
-      if (!next.ok()) return next.status();
-      PagePtr page = std::move(next).value();
-      if (page != nullptr) {
-        const int64_t ordinal = probe_page_ordinal_++;
-        match_probe_.clear();
-        match_build_.clear();
-        chunk_index_->table.FindJoinBatch(
-            *page, probe_keys, chunk_index_->offsets.data(),
-            chunk_index_->rows.data(), &match_probe_, &match_build_);
-        if (tracks_probe_matches()) {
-          if (ordinal >= static_cast<int64_t>(pair_probe_matched_.size())) {
-            pair_probe_matched_.resize(static_cast<size_t>(ordinal) + 1);
+      if (!drain_probe_done_) {
+        Result<PagePtr> next = drain_pair_.probe->Next();
+        if (!next.ok()) return next.status();
+        PagePtr page = std::move(next).value();
+        if (page != nullptr) {
+          const int64_t ordinal = probe_page_ordinal_++;
+          match_probe_.clear();
+          match_build_.clear();
+          side_->table.FindJoinBatch(*page, probe_keys_, side_->offsets.data(),
+                                     side_->rows.data(), &match_probe_,
+                                     &match_build_);
+          side_->Mark(match_build_);
+          if (tracks_probe_matches()) {
+            if (ordinal >= static_cast<int64_t>(pair_probe_matched_.size())) {
+              pair_probe_matched_.resize(static_cast<size_t>(ordinal) + 1);
+            }
+            std::vector<uint8_t>& flags = pair_probe_matched_[ordinal];
+            if (flags.empty()) {
+              flags.assign(static_cast<size_t>(page->num_rows()), 0);
+            }
+            for (int32_t r : match_probe_) flags[r] = 1;
+            if (drain_build_exhausted_) {
+              // Last build chunk: this page's accumulated flags are final.
+              drain_probe_rows_ = EmitProbeRows(page, flags.data());
+            }
           }
-          std::vector<uint8_t>& flags = pair_probe_matched_[ordinal];
-          if (flags.empty()) {
-            flags.assign(static_cast<size_t>(page->num_rows()), 0);
+          if (JoinEmitsBuildColumns(join_type_)) {
+            drain_probe_page_ = std::move(page);
+            emit_offset_ = 0;
           }
-          for (int32_t r : match_probe_) flags[r] = 1;
-          if (drain_build_exhausted_) {
-            // Last build chunk: this page's accumulated flags are final.
-            EmitFinalProbePage(*page, flags, probe_keys,
-                               build_output_channels);
-          }
+          continue;
         }
-        if (needs_build_drain()) {
-          for (int64_t b : match_build_) chunk_matched_[b] = 1;
-        }
-        if (emits_pairs() && !match_probe_.empty()) {
-          drain_probe_page_ = std::move(page);
-          emit_offset_ = 0;
-        }
-        continue;
+        drain_probe_done_ = true;
       }
-      // Probe stream exhausted for this chunk: the chunk's matched set is
-      // complete, so right/full can emit its unmatched rows now.
-      if (needs_build_drain()) {
-        EmitUnmatchedChunkRows(build_output_channels);
+      // The probe pass is over, so the chunk's matched bits are complete.
+      if (JoinEmitsUnmatchedBuild(join_type_)) {
+        PagePtr out = EmitUnmatchedBuild(*side_, &unmatched_cursor_);
+        if (out != nullptr) return out;
       }
       if (!drain_build_exhausted_) {
-        // More build chunks remain: rewind the probe file and join the
-        // next chunk against the full probe stream (multi-pass fallback
-        // for partitions that cannot recurse further).
-        Status s = drain_pair_.probe->Rewind();
-        if (!s.ok()) return s;
-        probe_page_ordinal_ = 0;
-        s = DrainLoadChunk();
+        // More build chunks remain: join the next one against the whole
+        // probe file again (multi-pass fallback for partitions that
+        // cannot recurse further).
+        Status s = DrainLoadChunk();
         if (!s.ok()) return s;
         continue;
       }
       // Pair exhausted: release the chunk and unlink both files.
       TrackBuildBytes(-chunk_tracked_bytes_);
       chunk_tracked_bytes_ = 0;
-      chunk_index_.reset();
-      chunk_cols_.clear();
+      side_.reset();
       drain_pair_ = SpillPair();
       drain_active_ = false;
       pair_probe_matched_.clear();
-      probe_page_ordinal_ = 0;
       continue;
     }
-    // 4. Open the next partition pair.
+    // 3. Open the next partition pair.
     if (drain_queue_.empty()) return PagePtr(nullptr);
     SpillPair pair = std::move(drain_queue_.front());
     drain_queue_.pop_front();
     const bool probe_empty =
         pair.probe == nullptr || pair.probe->pages_written() == 0;
     const bool build_empty = pair.build->pages_written() == 0;
-    if (probe_empty && build_empty) continue;
-    if (build_empty) {
-      // Every probe row of this partition is unmatched; left/anti/mark
-      // variants still owe output for them, the rest skip the pair.
-      const bool emits_unmatched_probe =
-          join_type_ == JoinType::kLeft || join_type_ == JoinType::kFull ||
-          join_type_ == JoinType::kLeftAnti ||
-          join_type_ == JoinType::kNullAwareAnti ||
-          join_type_ == JoinType::kMark;
-      if (!emits_unmatched_probe) continue;
-      if (join_type_ == JoinType::kNullAwareAnti && build_has_null_key_) {
-        continue;  // globally poisoned: no row qualifies anywhere
-      }
-      stream_pair_ = std::move(pair);
-      stream_active_ = true;
-      stream_build_side_ = false;
-      continue;
-    }
-    if (probe_empty) {
-      // Every build row of this partition is unmatched.
-      if (!needs_build_drain()) continue;
-      stream_pair_ = std::move(pair);
-      stream_active_ = true;
-      stream_build_side_ = true;
-      continue;
-    }
+    // A side without rows matches nothing; the pair still owes the other
+    // side's unmatched rows if the variant emits them.
+    if (probe_empty && !JoinEmitsUnmatchedBuild(join_type_)) continue;
+    if (build_empty && !emits_unmatched_probe()) continue;
     const int64_t budget = budget_bytes();
     const bool can_recurse =
-        pair.depth < kMaxSpillRecursion &&
+        !probe_empty && pair.depth < kMaxSpillRecursion &&
         static_cast<int64_t>(radix_->bits()) * (pair.depth + 2) <= 60;
     if (budget > 0 && pair.build->bytes_written() > budget && can_recurse) {
       // Skewed partition: split both files by the next lower hash bits.
-      Status s = DrainRepartition(std::move(pair), probe_keys);
+      Status s = DrainRepartition(std::move(pair));
       if (!s.ok()) return s;
       continue;
     }
     drain_pair_ = std::move(pair);
     drain_active_ = true;
     drain_build_exhausted_ = false;
-    probe_page_ordinal_ = 0;
     pair_probe_matched_.clear();
     Status s = DrainLoadChunk();
     if (!s.ok()) return s;
@@ -708,11 +598,17 @@ Result<PagePtr> JoinBridge::NextSpilledPage(
 }
 
 Status JoinBridge::DrainLoadChunk() {
+  // Every chunk starts a probe pass over the pair's whole probe file.
+  if (drain_pair_.probe != nullptr) {
+    Status s = drain_pair_.probe->Rewind();
+    if (!s.ok()) return s;
+  }
+  drain_probe_done_ = drain_pair_.probe == nullptr;
+  probe_page_ordinal_ = 0;
   TrackBuildBytes(-chunk_tracked_bytes_);
   chunk_tracked_bytes_ = 0;
-  chunk_cols_.clear();
-  chunk_cols_.reserve(build_types_.size());
-  for (DataType t : build_types_) chunk_cols_.emplace_back(t);
+  side_ = NewSide();
+  unmatched_cursor_ = 0;
   const int64_t budget = budget_bytes();
   const int64_t limit =
       budget > 0 ? budget : std::numeric_limits<int64_t>::max();
@@ -726,34 +622,17 @@ Status JoinBridge::DrainLoadChunk() {
       break;
     }
     for (int c = 0; c < page->num_columns(); ++c) {
-      chunk_cols_[c].AppendRange(page->column(c), 0, page->num_rows());
+      side_->cols[c].AppendRange(page->column(c), 0, page->num_rows());
     }
     bytes += page->ByteSize();
   }
-  const int64_t rows = chunk_cols_.empty() ? 0 : chunk_cols_[0].size();
-  if (needs_build_drain()) chunk_matched_.assign(static_cast<size_t>(rows), 0);
-  chunk_index_ = std::make_unique<PartitionIndex>(
-      HashTable::SelectKeyTypes(build_types_, build_keys_));
-  std::vector<const Column*> keys;
-  keys.reserve(build_keys_.size());
-  for (int key : build_keys_) keys.push_back(&chunk_cols_[key]);
-  std::vector<int64_t> ids;
-  chunk_index_->table.Reserve(rows);
-  chunk_index_->table.LookupOrInsert(keys, rows, &ids);
-  // rows_ here are chunk-local: DrainEmit gathers from chunk_cols_.
-  BuildCsr(ids, chunk_index_->table.size(), &chunk_index_->offsets,
-           &chunk_index_->rows);
-  chunk_tracked_bytes_ =
-      bytes + chunk_index_->table.ByteSize() +
-      static_cast<int64_t>(chunk_index_->offsets.size() +
-                           chunk_index_->rows.size()) *
-          8;
+  // The chunk's rows are chunk-local: the emitters gather from side_.
+  chunk_tracked_bytes_ = bytes + IndexSide(side_.get());
   TrackBuildBytes(chunk_tracked_bytes_);
   return Status::OK();
 }
 
-Status JoinBridge::DrainRepartition(SpillPair pair,
-                                    const std::vector<int>& probe_keys) {
+Status JoinBridge::DrainRepartition(SpillPair pair) {
   const MemoryConfig& mc = ConfigOf(task_ctx_).memory;
   const int bits = radix_->bits();
   const int num_parts = 1 << bits;
@@ -810,29 +689,10 @@ Status JoinBridge::DrainRepartition(SpillPair pair,
   };
   Status s = scatter(pair.build.get(), build_keys_, /*build_side=*/true);
   if (!s.ok()) return s;
-  s = scatter(pair.probe.get(), probe_keys, /*build_side=*/false);
+  s = scatter(pair.probe.get(), probe_keys_, /*build_side=*/false);
   if (!s.ok()) return s;
   for (SpillPair& sub : subs) drain_queue_.push_back(std::move(sub));
   return Status::OK();
-}
-
-Result<PagePtr> JoinBridge::DrainEmit(
-    const Page& probe_page, const std::vector<int>& build_output_channels) {
-  const int64_t chunk = ConfigOf(task_ctx_).batch_rows * 4;
-  const int64_t total = static_cast<int64_t>(match_probe_.size());
-  const int64_t count = std::min(chunk, total - emit_offset_);
-  std::vector<Column> cols;
-  cols.reserve(probe_page.num_columns() + build_output_channels.size());
-  for (int c = 0; c < probe_page.num_columns(); ++c) {
-    cols.push_back(
-        probe_page.column(c).Gather(match_probe_.data() + emit_offset_, count));
-  }
-  for (int ch : build_output_channels) {
-    cols.push_back(
-        chunk_cols_[ch].Gather(match_build_.data() + emit_offset_, count));
-  }
-  emit_offset_ += count;
-  return Page::Make(std::move(cols));
 }
 
 }  // namespace accordion

@@ -27,10 +27,10 @@ class TaskContext;
 ///
 /// The build side takes one of two shapes — the decision ladder:
 ///
-///   1. In memory — one open-addressing HashTable plus a CSR match list:
-///      `rows[offsets[id] .. offsets[id+1])` are the build rows of key
-///      `id`. Probes go through HashTable::FindJoinBatch, one scalar
-///      batch loop for every key layout.
+///   1. In memory — one open-addressing HashTable plus a CSR match list
+///      over the whole build (a BuiltSide). Probes go through
+///      HashTable::FindJoinBatch, one scalar batch loop for every key
+///      layout.
 ///   2. Grace spill — when tracked build bytes exceed the task's budget
 ///      (TaskContext::build_budget_bytes), accumulated and incoming build
 ///      pages scatter to 2^kSpillPartitionBits SpillFiles by hash; probe
@@ -38,18 +38,18 @@ class TaskContext;
 ///      last probe driver drains partition-pairwise (NextSpilledPage),
 ///      recursing on partitions still over budget with the next lower
 ///      hash bits, and falling back to build-chunked multi-pass probing
-///      at the recursion limit.
+///      at the recursion limit. Each loaded chunk is a BuiltSide too.
 ///
-/// Join variants: the bridge carries the plan's JoinType. In memory,
-/// Probe() returns the inner match pairs and the probe operator
-/// derives the variant output from them (unmatched probe rows, semi/anti
-/// selection, mark column); the bridge's contributions are an atomic
-/// matched-build bitmap for right/full joins (drained as null-padded pages
-/// by the last probe driver through NextSpilledPage) and the global
-/// build-has-NULL-key flag that drives null-aware anti / mark semantics.
-/// In spill mode all of the variant logic runs inside the drain, which
-/// tracks per-probe-row match flags across build chunk passes (the probe
-/// file replays deterministically) and per-chunk build match flags.
+/// Join variants: the bridge holds the whole join spec and owns all join
+/// output. Three emitters, each called by both the in-memory probe and
+/// the spill drain, produce it: match pairs (EmitPairs), probe rows with
+/// their final match flags (EmitProbeRows: outer padding, semi, anti and
+/// NOT IN), and a built side's unmatched rows (EmitUnmatchedBuild:
+/// right/full). The build facts these read — build empty, any NULL build
+/// key — are fixed once the build finishes. In the drain a probe row's
+/// match flag is final after the pair's last build chunk (the probe file
+/// replays deterministically), and a chunk's matched bits after its probe
+/// pass.
 ///
 /// NULL join keys never match (SQL equality): the hash-table join probes
 /// resolve null-keyed probe rows to misses in every layout, and NULL-keyed
@@ -70,13 +70,15 @@ class JoinBridge {
   /// (multiple probe passes) instead of recursing further.
   static constexpr int kMaxSpillRecursion = 3;
 
-  /// `probe_types` is required for join types that synthesize probe-side
-  /// columns during the drain (right/full padding) or stage probe pages
-  /// (any spill); inner-join tests may omit it.
-  JoinBridge(std::vector<DataType> build_types, std::vector<int> build_keys,
-             TaskContext* task_ctx = nullptr,
-             JoinType join_type = JoinType::kInner,
-             std::vector<DataType> probe_types = {});
+  /// Output pages hold [probe columns..., build columns at
+  /// `build_output_channels`...] for inner/left/right/full joins (NULL
+  /// where the other side is unmatched) and the probe columns alone for
+  /// semi/anti joins.
+  JoinBridge(JoinType join_type, std::vector<DataType> build_types,
+             std::vector<int> build_keys,
+             std::vector<int> build_output_channels,
+             std::vector<DataType> probe_types, std::vector<int> probe_keys,
+             TaskContext* task_ctx = nullptr);
   ~JoinBridge();
 
   // --- build side ---
@@ -95,10 +97,6 @@ class JoinBridge {
   /// True once the build side has switched to grace spill.
   bool spilled() const { return spilled_.load(); }
   int64_t build_rows() const;
-  JoinType join_type() const { return join_type_; }
-  /// True when any build row carries a NULL in any key column. Valid once
-  /// built(); drives NOT IN (null-aware anti) and mark-join semantics.
-  bool build_has_null_key() const { return build_has_null_key_; }
   /// Wall time spent constructing the index (the T_build component of the
   /// paper's state-transfer accounting).
   int64_t build_index_micros() const { return build_index_us_.load(); }
@@ -106,51 +104,54 @@ class JoinBridge {
   // --- probe side ---
   void AddProbeDriver() { ++probe_drivers_; }
 
-  /// Appends to `probe_rows`/`build_rows` the matching row pairs for every
-  /// row of `probe` (equality on all key channels; NULL keys never match).
-  /// Requires built(). In memory the probe is lock-free (the index is
-  /// immutable once built) apart from the relaxed matched-build bitmap
-  /// updates right/full joins perform; in spill mode the page is scattered
-  /// to probe spill files under the bridge mutex and no pairs are returned
-  /// — matches stream later from NextSpilledPage.
-  Status Probe(const Page& probe, const std::vector<int>& probe_keys,
-               std::vector<int32_t>* probe_rows,
-               std::vector<int64_t>* build_rows);
+  /// One probe driver's match buffers, reused across its pages.
+  struct ProbeScratch {
+    std::vector<int32_t> probe_rows;
+    std::vector<int64_t> build_rows;
+    std::vector<uint8_t> matched;
+  };
+
+  /// Joins one probe page. Requires built(). In memory the page's output
+  /// is appended to `out`, lock-free (the index is immutable once built)
+  /// apart from the relaxed matched-build bits right/full joins set. In
+  /// spill mode the page is scattered to probe spill files under the
+  /// bridge mutex and nothing is appended — its output streams later from
+  /// NextSpilledPage.
+  Status Probe(const PagePtr& page, ProbeScratch* scratch,
+               std::deque<PagePtr>* out);
 
   /// Returns true for the last probe driver when the bridge has more rows
   /// to stream after probing: always when spilled, and for right/full
-  /// joins (unmatched build rows) in memory. That driver
-  /// becomes the drainer and must pull NextSpilledPage until null.
+  /// joins (unmatched build rows) in memory. That driver becomes the
+  /// drainer and must pull NextSpilledPage until null.
   bool ProbeDriverFinished();
 
   /// Drain entry point (single-threaded: the drainer only). Returns one
-  /// output page per call, or nullptr when exhausted. Output layout
-  /// matches the join type: [probe cols..., build_output...] for
-  /// inner/left/right/full (null-padded where unmatched), [probe cols...]
-  /// for semi/anti, [probe cols..., mark] for mark joins. In-memory
+  /// output page per call, or nullptr when exhausted. In-memory
   /// right/full joins drain only their unmatched build rows here; spilled
   /// joins stream the whole partition-pairwise grace join.
-  Result<PagePtr> NextSpilledPage(const std::vector<int>& probe_keys,
-                                  const std::vector<int>& build_output_channels);
-
-  /// Gathers `channel` of the accumulated build rows at `rows`
-  /// (in memory only; spilled matches are gathered internally).
-  Column GatherBuild(int channel, const std::vector<int64_t>& rows) const;
-  Column GatherBuild(int channel, const int64_t* rows, int64_t count) const;
-  /// Like GatherBuild but a negative row yields a NULL (left/full joins).
-  Column GatherBuildNullable(int channel, const int64_t* rows,
-                             int64_t count) const;
+  Result<PagePtr> NextSpilledPage();
 
  private:
-  /// One built index: a table plus its CSR match list. An in-memory join
-  /// has one (rows hold build row numbers); the spill drain rebuilds one
-  /// per build chunk (rows chunk-local).
-  struct PartitionIndex {
-    explicit PartitionIndex(std::vector<DataType> key_types)
+  /// One built side: build columns, a table plus CSR match list over them
+  /// (`rows[offsets[id] .. offsets[id+1])` are the rows of key `id`), and
+  /// for right/full joins a matched bit per row. The in-memory join has one
+  /// for its whole build; the spill drain loads one per build chunk.
+  struct BuiltSide {
+    explicit BuiltSide(std::vector<DataType> key_types)
         : table(std::move(key_types)) {}
+    int64_t num_rows() const { return cols.empty() ? 0 : cols[0].size(); }
+    /// Sets the bits of `rows`: relaxed fetch_or, since in-memory probe
+    /// drivers mark concurrently (the probe-driver count orders them
+    /// before the drain reads the bits).
+    void Mark(const std::vector<int64_t>& rows) const;
+    bool Matched(int64_t row) const;
+
+    std::vector<Column> cols;
     HashTable table;
     std::vector<int64_t> offsets;
     std::vector<int64_t> rows;
+    std::unique_ptr<std::atomic<uint64_t>[]> matched;
   };
 
   /// Per-partition staging buffer: rows accumulate in columns until they
@@ -171,14 +172,14 @@ class JoinBridge {
   int64_t budget_bytes() const;
   void TrackBuildBytes(int64_t delta);
 
-  /// Which sides of the variant the drain must resolve.
-  bool needs_build_drain() const {
-    return JoinEmitsUnmatchedBuild(join_type_);
-  }
+  /// Left/full/semi/anti joins emit probe rows by their final match flag;
+  /// all of them but semi emit the rows that matched nothing.
   bool tracks_probe_matches() const {
     return join_type_ != JoinType::kInner && join_type_ != JoinType::kRight;
   }
-  bool emits_pairs() const { return JoinEmitsBuildColumns(join_type_); }
+  bool emits_unmatched_probe() const {
+    return tracks_probe_matches() && join_type_ != JoinType::kLeftSemi;
+  }
 
   Status WriteSpill(SpillFile* file, const Page& page);
   /// Computes the partition-selection hash of `rows` keyed by `channels`
@@ -187,7 +188,6 @@ class JoinBridge {
   void HashKeys(const std::vector<const Column*>& keys, int64_t num_rows,
                 std::vector<uint64_t>* hashes) const;
   void NoteBuildNullKeys(const Page& page);
-  void MarkBuildRows(const int64_t* rows, int64_t count);
 
   Status StartSpillLocked();
   Status StageRowsLocked(std::vector<Stage>* stages,
@@ -195,52 +195,53 @@ class JoinBridge {
                          const char* prefix, const Page& page,
                          const std::vector<std::vector<int32_t>>& selections);
   Status FlushStageLocked(Stage* stage, SpillFile* file);
-
-  void BuildIndexLocked();
   Status FinishSpillBuildLocked();
 
-  // --- spill drain (single-threaded: last probe driver only) ---
-  Status DrainLoadChunk();
-  Status DrainRepartition(SpillPair pair,
-                          const std::vector<int>& probe_keys);
-  Result<PagePtr> DrainEmit(const Page& probe_page,
-                            const std::vector<int>& build_output_channels);
-  /// In-memory right/full drain: next page of unmatched build rows.
-  PagePtr NextUnmatchedBuildPage(const std::vector<int>& build_output_channels);
-  /// Last-chunk resolution of one probe page (unmatched-left padding,
-  /// semi/anti selection, mark column) appended to drain_ready_.
-  void EmitFinalProbePage(const Page& page, const std::vector<uint8_t>& flags,
-                          const std::vector<int>& probe_keys,
-                          const std::vector<int>& build_output_channels);
-  /// Unmatched rows of the loaded build chunk, null-padded on the probe
-  /// side, appended to drain_ready_ (right/full).
-  void EmitUnmatchedChunkRows(const std::vector<int>& build_output_channels);
-  /// Transforms one page of a single-sided partition pair (the other side
-  /// empty) into output per join type; nullptr when it contributes none.
-  PagePtr StreamSidePage(const Page& page, bool build_side,
-                         const std::vector<int>& probe_keys,
-                         const std::vector<int>& build_output_channels);
+  /// An empty side with one column per build channel.
+  std::unique_ptr<BuiltSide> NewSide() const;
+  /// Indexes `side`'s rows and returns the bytes of its index.
+  int64_t IndexSide(BuiltSide* side) const;
 
-  std::vector<DataType> build_types_;
-  std::vector<int> build_keys_;
-  TaskContext* task_ctx_;
-  JoinType join_type_;
-  std::vector<DataType> probe_types_;
+  // --- the emitters, shared by the in-memory probe and the drain ---
+  /// Output page of the match pairs from `*offset`, at most batch_rows * 4
+  /// of them; advances `*offset`.
+  PagePtr EmitPairs(const Page& probe, const BuiltSide& side,
+                    const std::vector<int32_t>& probe_rows,
+                    const std::vector<int64_t>& build_rows,
+                    int64_t* offset) const;
+  /// The probe rows the variant emits given each row's final match flag
+  /// (left/full NULL padding, semi, anti, NOT IN); nullptr when none.
+  PagePtr EmitProbeRows(const PagePtr& probe, const uint8_t* matched) const;
+  /// Next page of `side`'s unmatched rows from `*cursor`, NULL-padded on
+  /// the probe side (right/full); nullptr when exhausted.
+  PagePtr EmitUnmatchedBuild(const BuiltSide& side, int64_t* cursor) const;
+
+  // --- spill drain (single-threaded: last probe driver only) ---
+  /// Loads the active pair's next build chunk into side_ and restarts the
+  /// probe pass over it.
+  Status DrainLoadChunk();
+  Status DrainRepartition(SpillPair pair);
+
+  const JoinType join_type_;
+  const std::vector<DataType> build_types_;
+  const std::vector<int> build_keys_;
+  const std::vector<int> build_output_channels_;
+  const std::vector<DataType> probe_types_;
+  const std::vector<int> probe_keys_;
+  TaskContext* const task_ctx_;
+  const int64_t emit_rows_;  // row cap of a pair or unmatched-build page
 
   mutable std::mutex mutex_;
-  std::vector<Column> data_;  // accumulated build rows, all channels
-  int64_t total_build_rows_ = 0;
   int64_t tracked_bytes_ = 0;  // bytes reported to the task context
+  // The build facts EmitProbeRows reads; final once built_ is set.
+  int64_t total_build_rows_ = 0;
   bool build_has_null_key_ = false;
 
-  std::unique_ptr<PartitionIndex> index_;  // in memory: set once built
+  // In memory: the whole build, accumulating until built. Spilled: the
+  // build chunk the drain has loaded.
+  std::unique_ptr<BuiltSide> side_;
+  int64_t unmatched_cursor_ = 0;  // EmitUnmatchedBuild position in side_
   std::unique_ptr<RadixPartitioner> radix_;  // spill level-0 fan-out
-
-  // Right/full joins in memory: bit per build row, set under
-  // concurrent probing with relaxed fetch_or (the probe-driver count
-  // provides the ordering the drainer needs).
-  std::unique_ptr<std::atomic<uint64_t>[]> build_matched_bits_;
-  int64_t unmatched_cursor_ = 0;  // in-memory right/full drain position
 
   // --- spill state ---
   std::vector<std::unique_ptr<SpillFile>> build_files_;
@@ -254,24 +255,20 @@ class JoinBridge {
   SpillPair drain_pair_;
   bool drain_active_ = false;
   bool drain_build_exhausted_ = false;
-  std::vector<Column> chunk_cols_;  // build columns of the loaded chunk
-  std::unique_ptr<PartitionIndex> chunk_index_;
+  bool drain_probe_done_ = false;  // probe pass over the loaded chunk ended
   int64_t chunk_tracked_bytes_ = 0;
+  // Output owed for the last probe page read: its match pairs from
+  // emit_offset_, then its probe-side rows.
   PagePtr drain_probe_page_;
   std::vector<int32_t> match_probe_;
   std::vector<int64_t> match_build_;
   int64_t emit_offset_ = 0;
-  // Variant drain state: per-probe-page matched flags accumulated across
-  // build chunk passes (indexed by page ordinal within the pair's probe
-  // file — replay order is deterministic), per-chunk build matched flags,
-  // ready-to-emit variant pages, and the single-sided pair stream.
+  PagePtr drain_probe_rows_;
+  // Per-probe-page match flags accumulated across build chunk passes,
+  // indexed by page ordinal within the pair's probe file (replay order is
+  // deterministic).
   std::vector<std::vector<uint8_t>> pair_probe_matched_;
   int64_t probe_page_ordinal_ = 0;
-  std::vector<uint8_t> chunk_matched_;
-  std::deque<PagePtr> drain_ready_;
-  SpillPair stream_pair_;
-  bool stream_active_ = false;
-  bool stream_build_side_ = false;
 
   std::atomic<int> build_drivers_{0};
   std::atomic<int> probe_drivers_{0};

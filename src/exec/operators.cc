@@ -156,7 +156,7 @@ class ExchangeOperator : public Operator {
     return client_->ParkConsumer(waiter);
   }
   double CostPerRowMicros() const override {
-    return task_ctx_->config().cost.exchange_us;
+    return CostModel::kExchangeUs;
   }
   std::string Name() const override { return "Exchange"; }
 
@@ -202,7 +202,7 @@ class LocalExchangeSourceOperator : public Operator {
     return exchange_->ParkSource(waiter);
   }
   double CostPerRowMicros() const override {
-    return task_ctx_->config().cost.local_exchange_us;
+    return CostModel::kLocalExchangeUs;
   }
   std::string Name() const override { return "LocalExchangeSource"; }
 
@@ -260,7 +260,7 @@ class FilterOperator : public Operator {
   }
 
   double CostPerRowMicros() const override {
-    return task_ctx_->config().cost.filter_us;
+    return CostModel::kFilterUs;
   }
   std::string Name() const override { return "Filter"; }
 
@@ -310,7 +310,7 @@ class ProjectOperator : public Operator {
   }
 
   double CostPerRowMicros() const override {
-    return task_ctx_->config().cost.project_us;
+    return CostModel::kProjectUs;
   }
   std::string Name() const override { return "Project"; }
 
@@ -338,15 +338,8 @@ class ProjectFactory : public OperatorFactory {
 
 class LookupJoinOperator : public Operator {
  public:
-  LookupJoinOperator(TaskContext* ctx, JoinBridge* bridge,
-                     std::vector<int> probe_keys,
-                     std::vector<int> build_output_channels,
-                     JoinType join_type)
-      : Operator(ctx),
-        bridge_(bridge),
-        probe_keys_(std::move(probe_keys)),
-        build_output_channels_(std::move(build_output_channels)),
-        join_type_(join_type) {
+  LookupJoinOperator(TaskContext* ctx, JoinBridge* bridge)
+      : Operator(ctx), bridge_(bridge) {
     bridge_->AddProbeDriver();
   }
 
@@ -364,107 +357,8 @@ class LookupJoinOperator : public Operator {
   }
 
   void AddInput(const PagePtr& page) override {
-    probe_rows_.clear();
-    build_rows_.clear();
-    Status probed =
-        bridge_->Probe(*page, probe_keys_, &probe_rows_, &build_rows_);
-    if (!probed.ok()) {
-      task_ctx_->ReportFailure(probed);
-      return;
-    }
-    // Spill mode returns no pairs: every variant's output streams from the
-    // bridge drain after the last probe driver retires.
-    if (bridge_->spilled()) return;
-    if (!variant_init_) {
-      variant_init_ = true;
-      build_empty_ = bridge_->build_rows() == 0;
-      build_has_null_ = bridge_->build_has_null_key();
-    }
-    switch (join_type_) {
-      case JoinType::kInner:
-      case JoinType::kRight:
-        // Right joins emit their matched pairs here; the unmatched build
-        // rows stream from the bridge drain (null-padded on the probe side).
-        if (!probe_rows_.empty()) EmitPairs(*page);
-        return;
-      case JoinType::kLeft:
-      case JoinType::kFull: {
-        // Append one (row, -1) pair per unmatched probe row; the nullable
-        // gather turns build id -1 into NULL padding.
-        FillMatchedFlags(page->num_rows());
-        for (int64_t r = 0; r < page->num_rows(); ++r) {
-          if (matched_[r] == 0) {
-            probe_rows_.push_back(static_cast<int32_t>(r));
-            build_rows_.push_back(-1);
-          }
-        }
-        if (!probe_rows_.empty()) EmitPairs(*page);
-        return;
-      }
-      case JoinType::kLeftSemi: {
-        FillMatchedFlags(page->num_rows());
-        std::vector<int32_t> sel;
-        for (int64_t r = 0; r < page->num_rows(); ++r) {
-          if (matched_[r] != 0) sel.push_back(static_cast<int32_t>(r));
-        }
-        if (!sel.empty()) pending_.push_back(page->Select(sel));
-        return;
-      }
-      case JoinType::kLeftAnti: {
-        // Plain anti join: NULL-keyed probe rows never match, so they
-        // qualify (NOT EXISTS semantics).
-        FillMatchedFlags(page->num_rows());
-        std::vector<int32_t> sel;
-        for (int64_t r = 0; r < page->num_rows(); ++r) {
-          if (matched_[r] == 0) sel.push_back(static_cast<int32_t>(r));
-        }
-        if (!sel.empty()) pending_.push_back(page->Select(sel));
-        return;
-      }
-      case JoinType::kNullAwareAnti: {
-        // NOT IN: any NULL in the build set makes every miss compare to
-        // NULL — nothing qualifies. An empty build set means NOT IN ()
-        // which is TRUE for every row, NULL-keyed ones included.
-        if (build_has_null_) return;
-        if (build_empty_) {
-          pending_.push_back(page);
-          return;
-        }
-        FillMatchedFlags(page->num_rows());
-        std::vector<int32_t> sel;
-        for (int64_t r = 0; r < page->num_rows(); ++r) {
-          if (matched_[r] != 0) continue;
-          if (ProbeRowHasNullKey(*page, r)) continue;  // NULL NOT IN (...) is NULL
-          sel.push_back(static_cast<int32_t>(r));
-        }
-        if (!sel.empty()) pending_.push_back(page->Select(sel));
-        return;
-      }
-      case JoinType::kMark: {
-        FillMatchedFlags(page->num_rows());
-        std::vector<ColumnPtr> cols;
-        cols.reserve(page->num_columns() + 1);
-        for (int c = 0; c < page->num_columns(); ++c) {
-          cols.push_back(page->shared_column(c));
-        }
-        auto mark = std::make_shared<Column>(DataType::kBool);
-        mark->Reserve(page->num_rows());
-        for (int64_t r = 0; r < page->num_rows(); ++r) {
-          if (matched_[r] != 0) {
-            mark->AppendInt(1);
-          } else if (build_empty_) {
-            mark->AppendInt(0);  // x IN () is FALSE even for NULL x
-          } else if (build_has_null_ || ProbeRowHasNullKey(*page, r)) {
-            mark->AppendNull();  // miss with a NULL on either side: unknown
-          } else {
-            mark->AppendInt(0);
-          }
-        }
-        cols.push_back(std::move(mark));
-        pending_.push_back(Page::MakeShared(std::move(cols)));
-        return;
-      }
-    }
+    Status probed = bridge_->Probe(page, &scratch_, &pending_);
+    if (!probed.ok()) task_ctx_->ReportFailure(probed);
   }
 
   PagePtr GetOutput() override {
@@ -474,15 +368,15 @@ class LookupJoinOperator : public Operator {
       return out;
     }
     if (state_ != OperatorState::kFinishing) return nullptr;
-    // When the bridge spilled, the last probe driver to retire becomes the
-    // drainer and streams the partition-pairwise grace join from here.
+    // The last probe driver to retire becomes the drainer: it streams the
+    // unmatched build rows, or the whole grace join when the bridge
+    // spilled.
     if (!probe_retired_) {
       probe_retired_ = true;
       draining_ = bridge_->ProbeDriverFinished();
     }
     if (draining_) {
-      Result<PagePtr> next =
-          bridge_->NextSpilledPage(probe_keys_, build_output_channels_);
+      Result<PagePtr> next = bridge_->NextSpilledPage();
       if (!next.ok()) {
         task_ctx_->ReportFailure(next.status());
         draining_ = false;
@@ -501,83 +395,24 @@ class LookupJoinOperator : public Operator {
   std::string Name() const override { return "LookupJoin"; }
 
  private:
-  /// Emits the accumulated (probe row, build row) pairs in bounded chunks.
-  /// Output columns are gathered directly from the match spans — no
-  /// intermediate Select page or column copies. A build row of -1 gathers
-  /// as NULL (left/full padding).
-  void EmitPairs(const Page& page) {
-    const bool nullable = join_type_ == JoinType::kLeft ||
-                          join_type_ == JoinType::kFull;
-    const int64_t total = static_cast<int64_t>(probe_rows_.size());
-    const int64_t chunk = task_ctx_->config().batch_rows * 4;
-    for (int64_t off = 0; off < total; off += chunk) {
-      int64_t count = std::min(chunk, total - off);
-      std::vector<Column> cols;
-      cols.reserve(page.num_columns() + build_output_channels_.size());
-      for (int c = 0; c < page.num_columns(); ++c) {
-        cols.push_back(page.column(c).Gather(probe_rows_.data() + off, count));
-      }
-      for (int ch : build_output_channels_) {
-        cols.push_back(
-            nullable
-                ? bridge_->GatherBuildNullable(ch, build_rows_.data() + off,
-                                               count)
-                : bridge_->GatherBuild(ch, build_rows_.data() + off, count));
-      }
-      pending_.push_back(Page::Make(std::move(cols)));
-    }
-  }
-
-  /// matched_[r] = 1 iff probe row r appears in the current match pairs.
-  void FillMatchedFlags(int64_t num_rows) {
-    matched_.assign(static_cast<size_t>(num_rows), 0);
-    for (int32_t r : probe_rows_) matched_[r] = 1;
-  }
-
-  bool ProbeRowHasNullKey(const Page& page, int64_t row) const {
-    for (int ch : probe_keys_) {
-      if (page.column(ch).IsNull(row)) return true;
-    }
-    return false;
-  }
-
   JoinBridge* bridge_;
-  std::vector<int> probe_keys_;
-  std::vector<int> build_output_channels_;
-  JoinType join_type_;
+  JoinBridge::ProbeScratch scratch_;
   std::deque<PagePtr> pending_;
   bool probe_retired_ = false;
   bool draining_ = false;
-  // Build-side facts cached on first probe (stable once built).
-  bool variant_init_ = false;
-  bool build_empty_ = false;
-  bool build_has_null_ = false;
-  // Reused match buffers — cleared per input page, capacity retained.
-  std::vector<int32_t> probe_rows_;
-  std::vector<int64_t> build_rows_;
-  std::vector<uint8_t> matched_;
 };
 
 class LookupJoinFactory : public OperatorFactory {
  public:
-  LookupJoinFactory(JoinBridge* bridge, std::vector<int> probe_keys,
-                    std::vector<int> build_output_channels, JoinType join_type)
-      : bridge_(bridge),
-        probe_keys_(std::move(probe_keys)),
-        build_output_channels_(std::move(build_output_channels)),
-        join_type_(join_type) {}
+  explicit LookupJoinFactory(JoinBridge* bridge) : bridge_(bridge) {}
 
   OperatorPtr Create(TaskContext* ctx, int) override {
-    return std::make_unique<LookupJoinOperator>(
-        ctx, bridge_, probe_keys_, build_output_channels_, join_type_);
+    return std::make_unique<LookupJoinOperator>(ctx, bridge_);
   }
   std::string Name() const override { return "LookupJoin"; }
 
  private:
   JoinBridge* bridge_;
-  std::vector<int> probe_keys_;
-  std::vector<int> build_output_channels_;
-  JoinType join_type_;
 };
 
 // ---------------------------------------------------------------------------
@@ -787,7 +622,7 @@ class PartialAggOperator : public AggOperatorBase {
   using AggOperatorBase::AggOperatorBase;
 
   double CostPerRowMicros() const override {
-    return task_ctx_->config().cost.partial_agg_us;
+    return CostModel::kPartialAggUs;
   }
   std::string Name() const override { return "PartialAggregation"; }
 
@@ -1008,7 +843,7 @@ class FinalAggOperator : public AggOperatorBase {
   using AggOperatorBase::AggOperatorBase;
 
   double CostPerRowMicros() const override {
-    return task_ctx_->config().cost.final_agg_us;
+    return CostModel::kFinalAggUs;
   }
   std::string Name() const override { return "FinalAggregation"; }
 
@@ -1260,7 +1095,7 @@ class TopNOperator : public Operator {
   }
 
   double CostPerRowMicros() const override {
-    return task_ctx_->config().cost.topn_us;
+    return CostModel::kTopNUs;
   }
   std::string Name() const override { return "TopN"; }
 
@@ -1390,7 +1225,7 @@ class LocalExchangeSinkOperator : public Operator {
   }
 
   double CostPerRowMicros() const override {
-    return task_ctx_->config().cost.local_exchange_us;
+    return CostModel::kLocalExchangeUs;
   }
   std::string Name() const override { return "LocalExchangeSink"; }
 
@@ -1486,7 +1321,7 @@ class TaskOutputOperator : public Operator {
   }
 
   double CostPerRowMicros() const override {
-    return task_ctx_->config().cost.task_output_us;
+    return CostModel::kTaskOutputUs;
   }
   std::string Name() const override { return "TaskOutput"; }
 
@@ -1535,13 +1370,8 @@ OperatorFactoryPtr MakeProjectFactory(std::vector<ExprPtr> exprs) {
   return std::make_shared<ProjectFactory>(std::move(exprs));
 }
 
-OperatorFactoryPtr MakeLookupJoinFactory(JoinBridge* bridge,
-                                         std::vector<int> probe_keys,
-                                         std::vector<int> build_output_channels,
-                                         JoinType join_type) {
-  return std::make_shared<LookupJoinFactory>(bridge, std::move(probe_keys),
-                                             std::move(build_output_channels),
-                                             join_type);
+OperatorFactoryPtr MakeLookupJoinFactory(JoinBridge* bridge) {
+  return std::make_shared<LookupJoinFactory>(bridge);
 }
 
 OperatorFactoryPtr MakePartialAggFactory(std::vector<int> group_by,

@@ -39,10 +39,7 @@ OperatorFactoryPtr MakeLocalExchangeSourceFactory(LocalExchange* exchange);
 // --- compute operators ---
 OperatorFactoryPtr MakeFilterFactory(ExprPtr predicate);
 OperatorFactoryPtr MakeProjectFactory(std::vector<ExprPtr> exprs);
-OperatorFactoryPtr MakeLookupJoinFactory(
-    JoinBridge* bridge, std::vector<int> probe_keys,
-    std::vector<int> build_output_channels,
-    JoinType join_type = JoinType::kInner);
+OperatorFactoryPtr MakeLookupJoinFactory(JoinBridge* bridge);
 OperatorFactoryPtr MakePartialAggFactory(std::vector<int> group_by,
                                          std::vector<Aggregate> aggs,
                                          std::vector<DataType> input_types);

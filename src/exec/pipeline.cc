@@ -103,9 +103,7 @@ class PipelineCompiler {
       }
       case PlanNodeKind::kHashJoin: {
         const auto& join = static_cast<const HashJoinNode&>(*node);
-        JoinBridge* bridge = ctx_->join_bridge(
-            node->id(), join.build()->output_types(), join.build_keys(),
-            join.join_type(), join.probe()->output_types());
+        JoinBridge* bridge = ctx_->join_bridge(join);
         // Build side becomes its own pipeline ending in HashBuilder.
         bool saved_stateful = current_stateful_;
         current_stateful_ = false;
@@ -118,9 +116,7 @@ class PipelineCompiler {
         current_stateful_ = saved_stateful;
         // Probe side continues the current pipeline.
         auto probe_chain = Compile(join.probe());
-        probe_chain.push_back(MakeLookupJoinFactory(
-            bridge, join.probe_keys(), join.build_output_channels(),
-            join.join_type()));
+        probe_chain.push_back(MakeLookupJoinFactory(bridge));
         return probe_chain;
       }
       case PlanNodeKind::kOutput:

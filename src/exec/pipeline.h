@@ -33,10 +33,7 @@ struct Pipeline {
 struct PipelineBuildContext {
   std::function<ExchangeClient*(int source_stage_id)> exchange_client;
   std::function<LocalExchange*(int node_id)> local_exchange;
-  std::function<JoinBridge*(int node_id, std::vector<DataType> build_types,
-                            std::vector<int> build_keys, JoinType join_type,
-                            std::vector<DataType> probe_types)>
-      join_bridge;
+  std::function<JoinBridge*(const HashJoinNode& join)> join_bridge;
   OutputBuffer* output_buffer = nullptr;
   NextSplitFn next_split;
   OpenSplitFn open_split;

@@ -52,16 +52,16 @@ Task::Task(TaskSpec spec, TaskApis apis, const EngineConfig* config,
     }
     return it->second.get();
   };
-  ctx.join_bridge = [this](int node_id, std::vector<DataType> build_types,
-                           std::vector<int> build_keys, JoinType join_type,
-                           std::vector<DataType> probe_types) {
-    auto it = join_bridges_.find(node_id);
+  ctx.join_bridge = [this](const HashJoinNode& join) {
+    auto it = join_bridges_.find(join.id());
     if (it == join_bridges_.end()) {
       it = join_bridges_
-               .emplace(node_id, std::make_unique<JoinBridge>(
-                                     std::move(build_types),
-                                     std::move(build_keys), &task_ctx_,
-                                     join_type, std::move(probe_types)))
+               .emplace(join.id(),
+                        std::make_unique<JoinBridge>(
+                            join.join_type(), join.build()->output_types(),
+                            join.build_keys(), join.build_output_channels(),
+                            join.probe()->output_types(), join.probe_keys(),
+                            &task_ctx_))
                .first;
     }
     return it->second.get();

@@ -65,8 +65,7 @@ PlanBuilder::Rel PlanBuilder::Join(Rel probe, Rel build,
                                    const std::vector<std::string>& probe_keys,
                                    const std::vector<std::string>& build_keys,
                                    const std::vector<std::string>& build_output,
-                                   bool broadcast, JoinType join_type,
-                                   const std::string& mark_name) {
+                                   bool broadcast, JoinType join_type) {
   ACC_CHECK(probe_keys.size() == build_keys.size()) << "join key mismatch";
   // Right/full joins emit unmatched build rows; a broadcast build would
   // replicate every build row to every worker and emit its null-padding
@@ -74,13 +73,11 @@ PlanBuilder::Rel PlanBuilder::Join(Rel probe, Rel build,
   ACC_CHECK(!(broadcast && JoinEmitsUnmatchedBuild(join_type)))
       << "broadcast build is incompatible with " << JoinTypeName(join_type)
       << " join";
-  // Null-aware anti and mark joins decide per probe row from the *global*
+  // Null-aware anti joins decide per probe row from the *global*
   // build-empty / build-has-null-key flags, so every worker must see the
   // whole build side. Each probe row still lives on exactly one worker
   // (arbitrary probe partitioning), so no output is duplicated.
-  if (join_type == JoinType::kNullAwareAnti || join_type == JoinType::kMark) {
-    broadcast = true;
-  }
+  if (join_type == JoinType::kNullAwareAnti) broadcast = true;
   std::vector<int> probe_key_channels;
   for (const auto& k : probe_keys) probe_key_channels.push_back(probe.Ch(k));
   std::vector<int> build_key_channels;
@@ -103,8 +100,6 @@ PlanBuilder::Rel PlanBuilder::Join(Rel probe, Rel build,
           probe.names};
   if (JoinEmitsBuildColumns(join_type)) {
     for (const auto& name : build_output) out.names.push_back(name);
-  } else if (join_type == JoinType::kMark) {
-    out.names.push_back(mark_name);
   }
   return out;
 }

@@ -53,18 +53,16 @@ class PlanBuilder {
 
   /// Hash join in a new stage. Output for inner/outer types: all probe
   /// columns, then `build_output` columns; semi/anti emit probe columns
-  /// only (build_output must be empty); mark appends a nullable kBool
-  /// channel named `mark_name`. `broadcast` selects the Fig. 16a
+  /// only (build_output must be empty). `broadcast` selects the Fig. 16a
   /// replicated build (probe exchange becomes arbitrary) — rejected by
   /// ACC_CHECK for right/full joins (their unmatched-build padding must be
   /// emitted by exactly one worker per build row) and forced on for
-  /// null-aware anti / mark joins (their per-probe-row decision reads the
-  /// global build-empty / build-has-null flags).
+  /// null-aware anti joins (their per-probe-row decision reads the global
+  /// build-empty / build-has-null flags).
   Rel Join(Rel probe, Rel build, const std::vector<std::string>& probe_keys,
            const std::vector<std::string>& build_keys,
            const std::vector<std::string>& build_output,
-           bool broadcast = false, JoinType join_type = JoinType::kInner,
-           const std::string& mark_name = "#mark");
+           bool broadcast = false, JoinType join_type = JoinType::kInner);
 
   /// Aggregation spec: function, input column name ("" for COUNT(*)),
   /// output name.

@@ -70,8 +70,6 @@ const char* JoinTypeName(JoinType type) {
       return "anti";
     case JoinType::kNullAwareAnti:
       return "null-aware anti";
-    case JoinType::kMark:
-      return "mark";
   }
   return "?";
 }
@@ -147,8 +145,6 @@ std::vector<DataType> JoinOutputTypes(const PlanNode& probe,
   std::vector<DataType> types = probe.output_types();
   if (JoinEmitsBuildColumns(join_type)) {
     for (int ch : build_channels) types.push_back(build.output_types()[ch]);
-  } else if (join_type == JoinType::kMark) {
-    types.push_back(DataType::kBool);
   }
   return types;
 }
@@ -173,7 +169,7 @@ HashJoinNode::HashJoinNode(int id, PlanNodePtr probe, PlanNodePtr build,
   ACC_CHECK(!probe_keys_.empty()) << "hash join needs at least one key";
   ACC_CHECK(JoinEmitsBuildColumns(join_type_) ||
             build_output_channels_.empty())
-      << "semi/anti/mark joins emit no build columns";
+      << "semi/anti joins emit no build columns";
 }
 
 std::string HashJoinNode::Describe() const {

@@ -58,12 +58,11 @@ enum class JoinType {
   kLeftSemi,      ///< probe rows with >=1 match, probe columns only
   kLeftAnti,      ///< probe rows with no match (NULL keys qualify)
   kNullAwareAnti, ///< SQL NOT IN: empty when build has any NULL key
-  kMark,          ///< probe columns + nullable bool "matched" (3VL IN)
 };
 
 const char* JoinTypeName(JoinType type);
 
-/// Semi/anti/mark joins emit no build columns; mark adds a bool channel.
+/// Semi/anti joins emit no build columns.
 inline bool JoinEmitsBuildColumns(JoinType t) {
   return t == JoinType::kInner || t == JoinType::kLeft ||
          t == JoinType::kRight || t == JoinType::kFull;
@@ -193,8 +192,7 @@ class ProjectNode : public PlanNode {
 /// Output for inner/left/right/full = all probe columns followed by
 /// `build_output_channels` (build columns are nullable under left/full,
 /// probe columns under right/full). Semi/anti joins emit probe columns
-/// only and require an empty `build_output_channels`; mark joins append
-/// one nullable kBool "matched" channel after the probe columns.
+/// only and require an empty `build_output_channels`.
 class HashJoinNode : public PlanNode {
  public:
   HashJoinNode(int id, PlanNodePtr probe, PlanNodePtr build,

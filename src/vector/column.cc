@@ -234,28 +234,6 @@ Column Column::Gather(const int64_t* indices, int64_t count) const {
   return out;
 }
 
-Column Column::GatherNullable(const int64_t* indices, int64_t count) const {
-  Column out(type_);
-  out.Reserve(count);
-  bool any_null = false;
-  for (int64_t i = 0; i < count; ++i) {
-    if (indices[i] < 0) {
-      any_null = true;
-      break;
-    }
-  }
-  if (!any_null) return Gather(indices, count);
-  out.validity_.reserve(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i) {
-    if (indices[i] < 0) {
-      out.AppendNull();
-    } else {
-      out.AppendFrom(*this, indices[i]);
-    }
-  }
-  return out;
-}
-
 uint64_t Column::HashAt(int64_t i, uint64_t seed) const {
   if (IsNull(i)) return Mix64(seed ^ kNullHashSentinel);
   switch (type_) {

@@ -119,13 +119,8 @@ class Column {
   Column Gather(const std::vector<int32_t>& indices) const;
   Column Gather(const int32_t* indices, int64_t count) const;
   /// Gather over 64-bit row ids (join build sides can exceed 2^31 rows).
-  /// Indices must be in range; use GatherNullable for -1 sentinels.
+  /// Indices must be in range.
   Column Gather(const int64_t* indices, int64_t count) const;
-
-  /// Gather where a negative index produces a NULL row — the outer-join
-  /// emission path (unmatched probe rows carry build id -1). Kept separate
-  /// from Gather so the inner-join hot loop stays branch-free.
-  Column GatherNullable(const int64_t* indices, int64_t count) const;
 
   /// Stable 64-bit hash of row i, mixed into `seed`. Used by partitioned
   /// shuffles and hash joins; must agree across workers. NULL hashes to a

@@ -290,9 +290,10 @@ TEST(FinalAggOperatorTest, GlobalAggregateOnEmptyInputEmitsDefaults) {
 
 TEST(HashBuildAndLookupJoinTest, BridgeGatesProbe) {
   OpEnv env;
-  JoinBridge bridge({DataType::kInt64}, {0});
+  JoinBridge bridge(JoinType::kInner, {DataType::kInt64}, {0}, {0},
+                    {DataType::kInt64}, {0});
   auto build_factory = MakeHashBuildFactory(&bridge);
-  auto probe_factory = MakeLookupJoinFactory(&bridge, {0}, {0});
+  auto probe_factory = MakeLookupJoinFactory(&bridge);
 
   OperatorPtr build = build_factory->Create(&env.ctx, 0);
   OperatorPtr probe = probe_factory->Create(&env.ctx, 0);

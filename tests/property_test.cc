@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 
 #include "common/clock.h"
@@ -38,14 +39,16 @@ TEST_P(JoinPropertyTest, MatchesNestedLoopReference) {
   PagePtr build = RandomKeyValuePage(&rng, build_rows, key_range);
   PagePtr probe = RandomKeyValuePage(&rng, probe_rows, key_range);
 
-  JoinBridge bridge({DataType::kInt64, DataType::kDouble}, {0});
+  JoinBridge bridge(JoinType::kInner, {DataType::kInt64, DataType::kDouble},
+                    {0}, {0}, {DataType::kInt64, DataType::kDouble}, {0});
   bridge.AddBuildDriver();
   if (build_rows > 0) bridge.AddBuildPage(build);
   bridge.BuildDriverFinished();
 
-  std::vector<int32_t> probe_matches;
-  std::vector<int64_t> build_matches;
-  bridge.Probe(*probe, {0}, &probe_matches, &build_matches);
+  // Output rows are [probe key, probe value, build key].
+  JoinBridge::ProbeScratch scratch;
+  std::deque<PagePtr> out;
+  bridge.Probe(probe, &scratch, &out);
 
   // Reference: nested loop count of matches per probe row.
   int64_t expected_pairs = 0;
@@ -54,11 +57,14 @@ TEST_P(JoinPropertyTest, MatchesNestedLoopReference) {
       expected_pairs += probe->column(0).IntAt(p) == build->column(0).IntAt(b);
     }
   }
-  EXPECT_EQ(static_cast<int64_t>(probe_matches.size()), expected_pairs);
-  for (size_t i = 0; i < probe_matches.size(); ++i) {
-    EXPECT_EQ(probe->column(0).IntAt(probe_matches[i]),
-              build->column(0).IntAt(build_matches[i]));
+  int64_t pairs = 0;
+  for (const PagePtr& page : out) {
+    pairs += page->num_rows();
+    for (int64_t r = 0; r < page->num_rows(); ++r) {
+      EXPECT_EQ(page->column(0).IntAt(r), page->column(2).IntAt(r));
+    }
   }
+  EXPECT_EQ(pairs, expected_pairs);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinPropertyTest, ::testing::Range(0, 10));

@@ -261,20 +261,6 @@ class ReferenceEvaluator {
             out.rows.push_back(prow);
           }
           break;
-        case JoinType::kMark: {
-          std::vector<Value> row = prow;
-          if (matches > 0) {
-            row.push_back(Value::Bool(true));
-          } else if (build.rows.empty()) {
-            row.push_back(Value::Bool(false));
-          } else if (build_has_null_key || probe_key_null(prow)) {
-            row.push_back(Value::Null(DataType::kBool));
-          } else {
-            row.push_back(Value::Bool(false));
-          }
-          out.rows.push_back(std::move(row));
-          break;
-        }
       }
     }
     if (jt == JoinType::kRight || jt == JoinType::kFull) {

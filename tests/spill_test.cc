@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -164,7 +165,7 @@ using JoinTuple = std::tuple<int64_t, int64_t, int64_t>;  // key, ppay, bpay
 std::multiset<JoinTuple> DrainAll(JoinBridge* bridge) {
   std::multiset<JoinTuple> got;
   while (true) {
-    auto next = bridge->NextSpilledPage({0}, {1});
+    auto next = bridge->NextSpilledPage();
     EXPECT_TRUE(next.ok()) << next.status().ToString();
     if (!next.ok()) break;
     PagePtr page = std::move(next).value();
@@ -181,7 +182,8 @@ std::multiset<JoinTuple> DrainAll(JoinBridge* bridge) {
 TEST(GraceSpillJoinTest, SpilledJoinMatchesInMemoryOracle) {
   Random rng(2024);
   BridgeEnv env(1 << 14);  // 16KB budget vs ~320KB build side
-  JoinBridge bridge({DataType::kInt64, DataType::kInt64}, {0},
+  JoinBridge bridge(JoinType::kInner, {DataType::kInt64, DataType::kInt64},
+                    {0}, {1}, {DataType::kInt64, DataType::kInt64}, {0},
                     env.ctx.get());
   bridge.AddBuildDriver();
   bridge.AddProbeDriver();
@@ -202,8 +204,8 @@ TEST(GraceSpillJoinTest, SpilledJoinMatchesInMemoryOracle) {
   EXPECT_EQ(bridge.build_rows(), 20000);
 
   std::multiset<JoinTuple> expected;
-  std::vector<int32_t> probe_rows;
-  std::vector<int64_t> build_rows;
+  JoinBridge::ProbeScratch scratch;
+  std::deque<PagePtr> out;
   for (int p = 0; p < 5; ++p) {
     std::vector<int64_t> keys, payloads;
     for (int r = 0; r < 1000; ++r) {
@@ -215,14 +217,9 @@ TEST(GraceSpillJoinTest, SpilledJoinMatchesInMemoryOracle) {
         expected.emplace(key, -(p * 1000 + r), it->second);
       }
     }
-    probe_rows.clear();
-    build_rows.clear();
-    ASSERT_TRUE(bridge
-                    .Probe(*TwoColPage(keys, payloads), {0}, &probe_rows,
-                           &build_rows)
-                    .ok());
-    // Spilled probes return no inline matches; everything streams later.
-    EXPECT_TRUE(probe_rows.empty());
+    ASSERT_TRUE(bridge.Probe(TwoColPage(keys, payloads), &scratch, &out).ok());
+    // Spilled probes return no inline output; everything streams later.
+    EXPECT_TRUE(out.empty());
   }
   ASSERT_TRUE(bridge.ProbeDriverFinished());
   EXPECT_EQ(DrainAll(&bridge), expected);
@@ -237,7 +234,8 @@ TEST(GraceSpillJoinTest, SkewedKeyRecursesThenChunks) {
   // hot partition, so the drain must hit the recursion limit and fall
   // back to budget-sized build chunks with a probe-file pass per chunk.
   BridgeEnv env(1 << 13);
-  JoinBridge bridge({DataType::kInt64, DataType::kInt64}, {0},
+  JoinBridge bridge(JoinType::kInner, {DataType::kInt64, DataType::kInt64},
+                    {0}, {1}, {DataType::kInt64, DataType::kInt64}, {0},
                     env.ctx.get());
   bridge.AddBuildDriver();
   bridge.AddProbeDriver();
@@ -250,12 +248,12 @@ TEST(GraceSpillJoinTest, SkewedKeyRecursesThenChunks) {
   }
   ASSERT_TRUE(bridge.BuildDriverFinished());
   ASSERT_TRUE(bridge.spilled());
-  std::vector<int32_t> probe_rows;
-  std::vector<int64_t> build_rows;
+  JoinBridge::ProbeScratch scratch;
+  std::deque<PagePtr> out;
   // 3 hits and 2 misses; each hit matches all 8000 build rows.
   ASSERT_TRUE(bridge
-                  .Probe(*TwoColPage({7, 1, 7, 2, 7}, {-1, -2, -3, -4, -5}),
-                         {0}, &probe_rows, &build_rows)
+                  .Probe(TwoColPage({7, 1, 7, 2, 7}, {-1, -2, -3, -4, -5}),
+                         &scratch, &out)
                   .ok());
   ASSERT_TRUE(bridge.ProbeDriverFinished());
   std::multiset<JoinTuple> got = DrainAll(&bridge);
@@ -271,7 +269,8 @@ TEST(GraceSpillJoinTest, SkewedKeyRecursesThenChunks) {
 
 TEST(GraceSpillJoinTest, StringKeysSpillThroughGenericPath) {
   BridgeEnv env(1 << 12);
-  JoinBridge bridge({DataType::kString, DataType::kInt64}, {0},
+  JoinBridge bridge(JoinType::kInner, {DataType::kString, DataType::kInt64},
+                    {0}, {1}, {DataType::kString, DataType::kInt64}, {0},
                     env.ctx.get());
   bridge.AddBuildDriver();
   bridge.AddProbeDriver();
@@ -299,16 +298,16 @@ TEST(GraceSpillJoinTest, StringKeysSpillThroughGenericPath) {
     auto [begin, end] = oracle.equal_range(key);
     for (auto it = begin; it != end; ++it) expected.emplace(key, it->second);
   }
-  std::vector<int32_t> probe_rows;
-  std::vector<int64_t> build_rows;
+  JoinBridge::ProbeScratch scratch;
+  std::deque<PagePtr> out;
   ASSERT_TRUE(bridge
-                  .Probe(*Page::Make({std::move(pk), std::move(pv)}), {0},
-                         &probe_rows, &build_rows)
+                  .Probe(Page::Make({std::move(pk), std::move(pv)}), &scratch,
+                         &out)
                   .ok());
   ASSERT_TRUE(bridge.ProbeDriverFinished());
   std::multiset<std::pair<std::string, int64_t>> got;
   while (true) {
-    auto next = bridge.NextSpilledPage({0}, {1});
+    auto next = bridge.NextSpilledPage();
     ASSERT_TRUE(next.ok()) << next.status().ToString();
     PagePtr page = std::move(next).value();
     if (page == nullptr) break;
@@ -321,7 +320,8 @@ TEST(GraceSpillJoinTest, StringKeysSpillThroughGenericPath) {
 
 TEST(GraceSpillJoinTest, NoProbePagesDrainsEmpty) {
   BridgeEnv env(1 << 12);
-  JoinBridge bridge({DataType::kInt64, DataType::kInt64}, {0},
+  JoinBridge bridge(JoinType::kInner, {DataType::kInt64, DataType::kInt64},
+                    {0}, {1}, {DataType::kInt64, DataType::kInt64}, {0},
                     env.ctx.get());
   bridge.AddBuildDriver();
   bridge.AddProbeDriver();
@@ -334,7 +334,7 @@ TEST(GraceSpillJoinTest, NoProbePagesDrainsEmpty) {
   ASSERT_TRUE(bridge.BuildDriverFinished());
   ASSERT_TRUE(bridge.spilled());
   ASSERT_TRUE(bridge.ProbeDriverFinished());
-  auto next = bridge.NextSpilledPage({0}, {1});
+  auto next = bridge.NextSpilledPage();
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next.value(), nullptr);
 }
@@ -404,7 +404,7 @@ std::vector<JoinShape> MatrixShapes() {
                     SidePages(SideKeys(&rng, 300, 1, 3, 0, 25), true),
                     SidePages(SideKeys(&rng, 500, 0, 199, 10, 5), false),
                     6 << 10});
-  // Four probe keys: most partitions have an empty probe side.
+  // Three probe keys and NULL: most partitions have an empty probe side.
   shapes.push_back({"few probe keys",
                     SidePages(SideKeys(&rng, 600, 0, 199, 5, 20), true),
                     SidePages(SideKeys(&rng, 300, 1, 2, 10, 10), false),
@@ -457,11 +457,12 @@ std::vector<PagePtr> RunOperatorJoin(TaskContext* ctx, const JoinShape& shape,
                                      JoinType type) {
   std::vector<int> build_output;
   if (JoinEmitsBuildColumns(type)) build_output = {1, 2};
-  JoinBridge bridge({DataType::kInt64, DataType::kInt64, DataType::kString},
-                    {0}, ctx, type, {DataType::kInt64, DataType::kInt64});
+  JoinBridge bridge(type,
+                    {DataType::kInt64, DataType::kInt64, DataType::kString},
+                    {0}, build_output, {DataType::kInt64, DataType::kInt64},
+                    {1}, ctx);
   OperatorFactoryPtr build_factory = MakeHashBuildFactory(&bridge);
-  OperatorFactoryPtr probe_factory =
-      MakeLookupJoinFactory(&bridge, {1}, build_output, type);
+  OperatorFactoryPtr probe_factory = MakeLookupJoinFactory(&bridge);
   OperatorPtr builds[2] = {build_factory->Create(ctx, 0),
                            build_factory->Create(ctx, 1)};
   OperatorPtr probes[2] = {probe_factory->Create(ctx, 0),
@@ -588,8 +589,8 @@ TEST(InMemoryJoinTest, LargeBuildMatchesOracle) {
   for (JoinType type : {JoinType::kInner, JoinType::kRight}) {
     SCOPED_TRACE(type == JoinType::kInner ? "inner" : "right");
     BridgeEnv env(0);  // no budget: never spills
-    JoinBridge bridge({DataType::kInt64, DataType::kInt64}, {0}, env.ctx.get(),
-                      type, {DataType::kInt64, DataType::kInt64});
+    JoinBridge bridge(type, {DataType::kInt64, DataType::kInt64}, {0}, {1},
+                      {DataType::kInt64, DataType::kInt64}, {0}, env.ctx.get());
     bridge.AddBuildDriver();
     bridge.AddProbeDriver();
     for (const PagePtr& page : build_pages) {
@@ -599,16 +600,15 @@ TEST(InMemoryJoinTest, LargeBuildMatchesOracle) {
     ASSERT_FALSE(bridge.spilled());
     EXPECT_GT(env.ctx->peak_build_bytes(), int64_t{8} << 20);
     std::multiset<JoinTuple> got_pairs;
-    std::vector<int32_t> probe_rows;
-    std::vector<int64_t> build_rows;
+    JoinBridge::ProbeScratch scratch;
+    std::deque<PagePtr> pair_pages;
     for (const PagePtr& page : probe_pages) {
-      probe_rows.clear();
-      build_rows.clear();
-      ASSERT_TRUE(bridge.Probe(*page, {0}, &probe_rows, &build_rows).ok());
-      const Column bpay = bridge.GatherBuild(1, build_rows);
-      for (size_t i = 0; i < probe_rows.size(); ++i) {
-        got_pairs.emplace(page->column(0).IntAt(probe_rows[i]),
-                          page->column(1).IntAt(probe_rows[i]), bpay.IntAt(i));
+      ASSERT_TRUE(bridge.Probe(page, &scratch, &pair_pages).ok());
+    }
+    for (const PagePtr& page : pair_pages) {
+      for (int64_t r = 0; r < page->num_rows(); ++r) {
+        got_pairs.emplace(page->column(0).IntAt(r), page->column(1).IntAt(r),
+                          page->column(2).IntAt(r));
       }
     }
     EXPECT_EQ(got_pairs, expected_pairs);
@@ -617,7 +617,7 @@ TEST(InMemoryJoinTest, LargeBuildMatchesOracle) {
     if (!drains) continue;
     std::vector<int64_t> got_unmatched;
     while (true) {
-      auto next = bridge.NextSpilledPage({0}, {1});
+      auto next = bridge.NextSpilledPage();
       ASSERT_TRUE(next.ok()) << next.status().ToString();
       PagePtr out = std::move(next).value();
       if (out == nullptr) break;

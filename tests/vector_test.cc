@@ -295,7 +295,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PageSerdePropertyTest,
 
 // --- validity bitmap properties ----------------------------------------------
 // Every copy/move primitive (AppendFrom, AppendRange, AppendGather,
-// Gather, GatherNullable, Select, Concat, Serialize) must carry the
+// Gather, Select, Concat, Serialize) must carry the
 // byte-per-row validity buffer along with the payload, preserve the
 // empty-buffer == all-valid convention, and keep NULL payloads zeroed.
 
@@ -387,27 +387,6 @@ TEST_P(ValidityPropertyTest, CopyPrimitivesCarryValidity) {
                      static_cast<int64_t>(i));
       ExpectSameRows(g64, gathered, static_cast<int64_t>(i),
                      static_cast<int64_t>(i));
-    }
-
-    // GatherNullable: -1 indices mint fresh NULLs with zeroed payloads.
-    std::vector<int64_t> with_misses{0, -1, 5, -1, 299};
-    Column padded = src.GatherNullable(with_misses.data(), 5);
-    ASSERT_EQ(padded.size(), 5);
-    EXPECT_TRUE(padded.IsNull(1));
-    EXPECT_TRUE(padded.IsNull(3));
-    ExpectSameRows(padded, src, 0, 0);
-    ExpectSameRows(padded, src, 2, 5);
-    ExpectSameRows(padded, src, 4, 299);
-    switch (type) {
-      case DataType::kDouble:
-        EXPECT_EQ(padded.DoubleAt(1), 0.0);
-        break;
-      case DataType::kString:
-        EXPECT_TRUE(padded.StrAt(1).empty());
-        break;
-      default:
-        EXPECT_EQ(padded.IntAt(1), 0);
-        break;
     }
   }
 }
